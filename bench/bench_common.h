@@ -56,6 +56,20 @@ struct RunStats {
   }
 };
 
+/// Intermediate cache footprint of query `qid`: its factory's own state
+/// plus, for a node tail, the grid partials its SharedWindowNode caches
+/// (where an incremental single-stream window keeps them).
+inline size_t CachedBytes(Engine& engine, int qid) {
+  size_t bytes = engine.GetFactory(qid)->Stats().cached_bytes;
+  for (const ContinuousQueryInfo& q : engine.Queries()) {
+    if (q.id != qid || q.shared_node.empty()) continue;
+    for (const SharedNodeStats& n : engine.GetSharingStats().nodes) {
+      if (n.label == q.shared_node) bytes += n.cached_bytes;
+    }
+  }
+  return bytes;
+}
+
 inline RunStats Collect(Engine& engine, int qid, Micros wall) {
   RunStats out;
   const FactoryStats fs = engine.GetFactory(qid)->Stats();
@@ -64,7 +78,7 @@ inline RunStats Collect(Engine& engine, int qid, Micros wall) {
   out.tuples_out = fs.tuples_out;
   out.fragments = fs.fragments_computed;
   out.exec_micros = fs.total_exec_micros;
-  out.cached_bytes = fs.cached_bytes;
+  out.cached_bytes = CachedBytes(engine, qid);
   out.wall_micros = wall;
   return out;
 }

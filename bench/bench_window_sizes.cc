@@ -40,7 +40,7 @@ RunStats RunOne(ExecMode mode, Micros window, Micros slide,
   // Feed without sealing so the cached-intermediate footprint is sampled
   // while windows are still live, then flush.
   const Micros wall = FeedAndPump(engine, "s", batches, /*seal=*/false);
-  const size_t live_cache = engine.GetFactory(*qid)->Stats().cached_bytes;
+  const size_t live_cache = bench::CachedBytes(engine, *qid);
   DC_CHECK_OK(engine.SealStream("s"));
   engine.Pump();
   RunStats out = Collect(engine, *qid, wall);

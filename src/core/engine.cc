@@ -36,6 +36,23 @@ void SharingKeys(const plan::CompiledQuery& cq, ExecMode mode,
   *full_key = *prefix_key + '\x1e' + cq.finish_signature + '\x1e' + geom;
 }
 
+// The stream relation a query's SharedWindowNode reads (docs/SHARING.md),
+// or -1 when the query does not run on a node. Incremental queries over
+// one windowed stream (plus any table) whose window divides run on one —
+// the rule the compiler's classification and the factory share
+// (plan::IncrementalEligible).
+int NodeStreamRel(const plan::BoundQuery& q, ExecMode mode) {
+  if (mode != ExecMode::kIncremental || q.NumStreams() != 1) return -1;
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (!q.rels[r].is_stream) continue;
+    const std::optional<plan::WindowSpec>& w = q.rels[r].window;
+    return w.has_value() && plan::IncrementalEligible({&*w})
+               ? static_cast<int>(r)
+               : -1;
+  }
+  return -1;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -266,19 +283,12 @@ Result<std::string> Engine::ExplainSql(std::string_view sql,
     if (auto it = full_entries_.find(full_key); it != full_entries_.end()) {
       note.shared_with = it->second.refs;
       note.detail = "factory-level dedup";
-    } else if (auto pit = prefix_nodes_.find(prefix_key);
-               pit != prefix_nodes_.end()) {
-      const plan::BoundQuery& q = cq.bound;
-      if (q.rels.size() == 1 && q.rels[0].window.has_value()) {
-        const plan::WindowSpec& w = *q.rels[0].window;
-        for (const SharedWindowNodePtr& n : pit->second) {
-          if (w.slide > 0 && w.size % w.slide == 0 &&
-              n->Compatible(w.rows, w.slide)) {
-            note.shared_with = n->subscribers();
-            note.detail = StrFormat("window node %s", n->label().c_str());
-            break;
-          }
-        }
+    } else if (const int rel = NodeStreamRel(cq.bound, exec_mode); rel >= 0) {
+      const plan::BoundRelation& stream = cq.bound.rels[rel];
+      if (const SharedWindowNodePtr n = FindNodeLocked(
+              prefix_key, GetBasket(stream.name), *stream.window)) {
+        note.shared_with = n->subscribers();
+        note.detail = StrFormat("window node %s", n->label().c_str());
       }
     }
   }
@@ -388,7 +398,6 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       if (options_.scheduler_workers > 0) entry.emitter->Start();
       const int id = entry.id;
       const FactoryPtr aliased = entry.factory;
-      const SharedWindowNodePtr alias_node = fe.node;
       uint64_t token = 0;
       {
         MutexLock lock(mu_);
@@ -406,46 +415,43 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       // record, only from the snapshot (above) or the founder's record.
       if (wal_env_ != nullptr && !recovering_) {
         LogSubmit(token, sql, options, aliased->SnapshotProgress(),
-                  alias_node);
+                  aliased->node());
       }
       return id;
     }
   }
 
-  // Tier P: a single divisible-window incremental stream query can hang
-  // off a SharedWindowNode as a merge tail — find a grid-compatible node
-  // under this prefix (window subsumption) or found a new one. The node
-  // owns the only basket reader; non-divisible windows keep the private
-  // fallback-to-full path (FactoryStats::fell_back_to_full).
+  // Tier P: an incremental divisible window over one stream (plus any
+  // table) is a merge tail of a SharedWindowNode — a grid-compatible node
+  // under this prefix when sharing is on (window subsumption), else a
+  // node it founds, private while nothing joins it. The node owns the
+  // only basket reader; non-divisible windows keep the full-reevaluation
+  // fallback (FactoryStats::fell_back_to_full).
   SharedWindowNodePtr node;
-  int node_sub = -1;
-  const bool tier_p_eligible =
-      options_.enable_sharing && options.mode == ExecMode::kIncremental &&
-      q.rels.size() == 1 && q.rels[0].is_stream &&
-      q.rels[0].window.has_value() && q.rels[0].window->slide > 0 &&
-      q.rels[0].window->size % q.rels[0].window->slide == 0;
-  if (tier_p_eligible) {
+  if (const int rel = NodeStreamRel(q, options.mode); rel >= 0) {
     std::shared_ptr<Basket> stream;
     {
       MutexLock lock(mu_);
-      auto bit = baskets_.find(q.rels[0].name);
+      auto bit = baskets_.find(q.rels[rel].name);
       if (bit == baskets_.end()) return Status::Internal("basket missing");
       stream = bit->second;
     }
-    const plan::WindowSpec& w = *q.rels[0].window;
-    std::vector<SharedWindowNodePtr>& nodes = prefix_nodes_[prefix_key];
-    for (const SharedWindowNodePtr& n : nodes) {
-      if (n->basket() == stream.get() && n->Compatible(w.rows, w.slide)) {
-        node = n;
-        ++prefix_hits_;
-        break;
-      }
+    if (options_.enable_sharing) {
+      node = FindNodeLocked(prefix_key, stream.get(), *q.rels[rel].window);
+      if (node != nullptr) ++prefix_hits_;
     }
     if (node == nullptr) {
+      TablePtr table;
+      for (const plan::BoundRelation& r : q.rels) {
+        if (!r.is_stream) {
+          DC_ASSIGN_OR_RETURN(table, catalog_.GetTable(r.name));
+        }
+      }
+      const plan::WindowSpec& w = *q.rels[rel].window;
       node = std::make_shared<SharedWindowNode>(
-          StrFormat("%s#%d", q.rels[0].name.c_str(), next_node_ord_++),
-          stream, executor, w.rows, w.slide);
-      nodes.push_back(node);
+          StrFormat("%s#%d", q.rels[rel].name.c_str(), next_node_ord_++),
+          stream, std::move(table), executor, w.rows, w.slide);
+      prefix_nodes_[prefix_key].push_back(node);
       if (restore != nullptr && !restore->node_label.empty()) {
         // Node labels are allocated deterministically (next_node_ord_), so
         // an in-order replay must recreate the exact label it logged.
@@ -463,10 +469,9 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
         DC_RETURN_NOT_OK(node->RestoreOrigin(origin));
       }
     }
-    node_sub = node->Subscribe();
   }
 
-  // Wire the factory inputs (a shared tail carries no reader of its own).
+  // Wire the factory inputs (a node tail carries no reader of its own).
   std::vector<FactoryInput> inputs(q.rels.size());
   for (size_t r = 0; r < q.rels.size(); ++r) {
     if (q.rels[r].is_stream) {
@@ -502,29 +507,17 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   entry.out_basket =
       std::make_shared<Basket>(name + ".out", out_schema);
 
-  if (node != nullptr) {
-    auto tail = Factory::CreateSharedTail(entry.id, name, executor,
-                                          std::move(inputs), entry.out_basket,
-                                          node, node_sub);
-    if (!tail.ok()) {
-      node->Unsubscribe(node_sub);
-      PruneIdleNodesLocked();
-      return tail.status();
-    }
-    entry.factory = *std::move(tail);
-  } else {
-    DC_ASSIGN_OR_RETURN(
-        entry.factory,
-        Factory::Create(entry.id, name, executor, options.mode,
-                        std::move(inputs), entry.out_basket));
-  }
-
   // Recovery: position the factory at its logged progress BEFORE the
   // scheduler can see it — a worker firing against pre-restore origins
   // would consume replayed rows the restored cursors still need. The
   // snapshot's progress (when its checkpoint covered this token) wins
   // over the submit-time cursors in the kSubmit record.
-  if (restore != nullptr) {
+  const int node_sub = node != nullptr ? node->Subscribe() : -1;
+  Result<FactoryPtr> made =
+      Factory::Create(entry.id, name, executor, options.mode,
+                      std::move(inputs), entry.out_basket, node, node_sub);
+  Status st = made.status();
+  if (st.ok() && restore != nullptr) {
     storage::FactoryProgress p;
     if (snap_progress != nullptr) {
       p = *snap_progress;
@@ -532,19 +525,24 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       p.origins = restore->origins;
       p.batch_cursor = restore->batch_cursor;
     }
-    DC_RETURN_NOT_OK(entry.factory->RestoreProgress(p));
+    st = (*made)->RestoreProgress(p);
   }
+  if (!st.ok()) {
+    if (node != nullptr) {
+      node->Unsubscribe(node_sub);
+      PruneIdleNodesLocked();
+    }
+    return st;
+  }
+  entry.factory = *std::move(made);
 
   // Publish the factory for tier-F aliasing by later identical queries.
   if (options_.enable_sharing) {
     SharedFullEntry fe;
-    fe.factory_id = entry.id;
     fe.refs = 1;
     fe.factory = entry.factory;
     fe.out_basket = entry.out_basket;
     fe.out_names = out_names;
-    fe.node = node;
-    fe.node_sub = node_sub;
     full_entries_.emplace(full_key, std::move(fe));
     entry.full_key = full_key;
   }
@@ -636,21 +634,22 @@ Status Engine::RemoveContinuous(int query_id) {
       queries_.erase(it);
       if (entry.dur_token != 0) token_to_query_.erase(entry.dur_token);
     }
+    bool last_ref = true;
     if (!entry.full_key.empty()) {
       auto it = full_entries_.find(entry.full_key);
-      if (it != full_entries_.end() && --it->second.refs == 0) {
-        SharedFullEntry fe = std::move(it->second);
-        full_entries_.erase(it);
-        // Blocks on in-flight fires; safe under share_mu_ because fires
-        // never take it.
-        scheduler_.RemoveFactory(fe.factory_id);
-        if (fe.node != nullptr) {
-          fe.node->Unsubscribe(fe.node_sub);
-          PruneIdleNodesLocked();
-        }
+      if (it != full_entries_.end()) {
+        last_ref = --it->second.refs == 0;
+        if (last_ref) full_entries_.erase(it);
       }
-    } else {
-      scheduler_.RemoveFactory(query_id);
+    }
+    if (last_ref) {
+      // Blocks on in-flight fires; safe under share_mu_ because fires
+      // never take it.
+      scheduler_.RemoveFactory(entry.factory->id());
+      if (const SharedWindowNodePtr& node = entry.factory->node()) {
+        node->Unsubscribe(entry.factory->node_sub());
+        PruneIdleNodesLocked();
+      }
     }
   }
   if (wal_env_ != nullptr && !recovering_ && entry.dur_token != 0) {
@@ -668,6 +667,17 @@ Status Engine::RemoveContinuous(int query_id) {
   // (none, after the emitter stopped) would keep recording harmlessly.
   metrics_.Remove("query." + entry.name + ".latency_us");
   return Status::OK();
+}
+
+SharedWindowNodePtr Engine::FindNodeLocked(const std::string& prefix_key,
+                                           const Basket* basket,
+                                           const plan::WindowSpec& w) const {
+  auto it = prefix_nodes_.find(prefix_key);
+  if (it == prefix_nodes_.end()) return nullptr;
+  for (const SharedWindowNodePtr& n : it->second) {
+    if (n->basket() == basket && n->Compatible(w.rows, w.slide)) return n;
+  }
+  return nullptr;
 }
 
 void Engine::PruneIdleNodesLocked() {
@@ -1292,17 +1302,14 @@ std::vector<ContinuousQueryInfo> Engine::Queries() const {
     info.factory = q.factory->Stats();
     if (!q.full_key.empty()) {
       auto fit = full_entries_.find(q.full_key);
-      if (fit != full_entries_.end()) {
-        info.shared_with = fit->second.refs;
-        if (fit->second.node != nullptr) {
-          info.shared_node = fit->second.node->label();
-          info.sharing = StrFormat("node %s x%d",
-                                   fit->second.node->label().c_str(),
-                                   fit->second.node->subscribers());
-        } else if (fit->second.refs > 1) {
-          info.sharing = StrFormat("factory x%d", fit->second.refs);
-        }
-      }
+      if (fit != full_entries_.end()) info.shared_with = fit->second.refs;
+    }
+    if (const SharedWindowNodePtr& node = q.factory->node()) {
+      info.shared_node = node->label();
+      info.sharing = StrFormat("node %s x%d", node->label().c_str(),
+                               node->subscribers());
+    } else if (info.shared_with > 1) {
+      info.sharing = StrFormat("factory x%d", info.shared_with);
     }
     if (q.latency != nullptr) info.latency = q.latency->Snapshot();
     if (q.emitter) info.emitter = q.emitter->Stats();

@@ -72,8 +72,10 @@ struct EngineOptions {
   /// Multi-query sharing (docs/SHARING.md): queries with matching
   /// compiled identities alias one factory, and compatible windowed
   /// prefixes share one basic-window partial store (SharedWindowNode).
-  /// Off restores one private factory chain per query — the differential
-  /// equivalence suite runs both and asserts identical emissions.
+  /// Off only stops a submit from joining an existing factory or node:
+  /// every query gets its own factory chain, and an incremental window
+  /// its own one-subscriber node — the differential equivalence suite
+  /// runs both and asserts identical emissions.
   bool enable_sharing = true;
 
   /// Durability (docs/DURABILITY.md): with a non-empty `dir`, every
@@ -125,7 +127,7 @@ struct ContinuousQueryInfo {
   int shared_with = 1;
   std::string sharing;
   /// Label of the SharedWindowNode serving this query's partials
-  /// ("<stream>#<ordinal>"), or "" for non-shared-tail queries.
+  /// ("<stream>#<ordinal>"), or "" for queries that are no node tail.
   std::string shared_node;
   /// Ingest→delivery latency snapshot (p50/p95/p99 via Percentile);
   /// empty until the first delivered emission (docs/OBSERVABILITY.md).
@@ -275,16 +277,13 @@ class Engine {
   /// submitted query publishes its factory here keyed by full compiled
   /// identity; later identical queries alias it (refs++) with their own
   /// emitters on the shared output basket. The factory leaves the
-  /// scheduler — and its node subscription, when it is a shared tail —
+  /// scheduler — and its node subscription, when it is a node tail —
   /// only when refs hits zero.
   struct SharedFullEntry {
-    int factory_id = 0;  // scheduler id (the first subscriber's query id)
     int refs = 0;
     FactoryPtr factory;
     std::shared_ptr<Basket> out_basket;
     std::vector<std::string> out_names;
-    SharedWindowNodePtr node;  // set when the factory is a shared tail
-    int node_sub = -1;         // engine-owned node subscription
   };
 
   Status ExecuteOne(const sql::Statement& stmt);
@@ -323,6 +322,12 @@ class Engine {
                          const std::shared_ptr<Basket>& basket);
   /// Background checkpoint thread body (checkpoint_interval_ms > 0).
   void CheckpointLoop();
+  /// The registered node under `prefix_key` on `basket` whose grid can
+  /// serve window `w` (window subsumption), or null.
+  SharedWindowNodePtr FindNodeLocked(const std::string& prefix_key,
+                                     const Basket* basket,
+                                     const plan::WindowSpec& w) const
+      DC_REQUIRES(share_mu_);
   /// Drops zero-subscriber shared nodes from the registry (their basket
   /// readers unregister with them).
   void PruneIdleNodesLocked() DC_REQUIRES(share_mu_);
@@ -408,7 +413,8 @@ class Engine {
   std::map<std::string, SharedFullEntry> full_entries_
       DC_GUARDED_BY(share_mu_);
   /// Live tier-P nodes per prefix key; one prefix can hold several nodes
-  /// with incompatible grids (non-subsumable slides).
+  /// with incompatible grids (non-subsumable slides), and, with sharing
+  /// off, one private node per query.
   std::map<std::string, std::vector<SharedWindowNodePtr>> prefix_nodes_
       DC_GUARDED_BY(share_mu_);
   uint64_t full_hits_ DC_GUARDED_BY(share_mu_) = 0;

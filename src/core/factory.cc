@@ -17,7 +17,7 @@ Factory::Factory(int id, std::string name,
                  std::shared_ptr<exec::QueryExecutor> executor, ExecMode mode,
                  std::vector<FactoryInput> inputs,
                  std::shared_ptr<Basket> output, SharedWindowNodePtr node,
-                 int sub_id)
+                 int node_sub)
     : id_(id),
       name_(std::move(name)),
       executor_(std::move(executor)),
@@ -25,7 +25,7 @@ Factory::Factory(int id, std::string name,
       inputs_(std::move(inputs)),
       output_(std::move(output)),
       node_(std::move(node)),
-      node_sub_(sub_id) {}
+      node_sub_(node_sub) {}
 
 Factory::~Factory() {
   for (const FactoryInput& in : inputs_) {
@@ -38,30 +38,13 @@ Factory::~Factory() {
 Result<std::shared_ptr<Factory>> Factory::Create(
     int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
     ExecMode mode, std::vector<FactoryInput> inputs,
-    std::shared_ptr<Basket> output) {
-  auto f = std::shared_ptr<Factory>(
-      new Factory(id, std::move(name), std::move(executor), mode,
-                  std::move(inputs), std::move(output)));
+    std::shared_ptr<Basket> output, SharedWindowNodePtr node, int node_sub) {
+  auto f = std::shared_ptr<Factory>(new Factory(
+      id, std::move(name), std::move(executor), mode, std::move(inputs),
+      std::move(output), std::move(node), node_sub));
   {
     // Pre-publication, so uncontended — taken for the thread-safety
     // analysis, which checks Validate's guarded writes against mu_.
-    MutexLock lock(f->mu_);
-    DC_RETURN_NOT_OK(f->Validate());
-  }
-  return f;
-}
-
-Result<std::shared_ptr<Factory>> Factory::CreateSharedTail(
-    int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
-    std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-    SharedWindowNodePtr node, int sub_id) {
-  if (node == nullptr || sub_id < 0) {
-    return Status::InvalidArgument("shared tail requires a node subscription");
-  }
-  auto f = std::shared_ptr<Factory>(new Factory(
-      id, std::move(name), std::move(executor), ExecMode::kIncremental,
-      std::move(inputs), std::move(output), std::move(node), sub_id));
-  {
     MutexLock lock(f->mu_);
     DC_RETURN_NOT_OK(f->Validate());
   }
@@ -79,7 +62,7 @@ Status Factory::Validate() {
   for (size_t r = 0; r < inputs_.size(); ++r) {
     FactoryInput& in = inputs_[r];
     if (in.is_stream) {
-      // Shared tails carry no reader of their own: the node owns the one
+      // Node tails carry no reader of their own: the node owns the one
       // reader, and window coordinates anchor at the node's origin.
       if (in.basket == nullptr ||
           (in.reader_id < 0 && node_ == nullptr)) {
@@ -126,30 +109,6 @@ Status Factory::Validate() {
     batch_cursor_ = origin_seq_[stream_rels_[0]];
   }
 
-  if (node_ != nullptr) {
-    // Shared tail: exactly one windowed stream on the node's basket, with
-    // a divisible window the node's grid can serve (docs/SHARING.md).
-    const int rel = stream_rels_[0];
-    const auto& w = inputs_[rel].window;
-    if (shape_ != Shape::kSingleWindow || num_streams != 1 ||
-        table_rel_ >= 0 || !w.has_value()) {
-      return Status::InvalidArgument(
-          "shared tail requires exactly one windowed stream input");
-    }
-    if (inputs_[rel].basket != node_->basket()) {
-      return Status::InvalidArgument(
-          "shared tail input basket does not match its node");
-    }
-    if (w->size % w->slide != 0 ||
-        !node_->Compatible(w->rows, w->slide)) {
-      return Status::InvalidArgument(
-          "shared tail window is not grid-compatible with its node");
-    }
-    shape_ = Shape::kSharedTail;
-    incremental_active_ = true;
-    return Status::OK();
-  }
-
   // Decide whether incremental processing is applicable. The rule itself
   // (plan::IncrementalEligible) is shared with the compiler's EXPLAIN
   // classification; it is evaluated here over the factory's actual input
@@ -166,6 +125,32 @@ Status Factory::Validate() {
     }
     incremental_active_ = plan::IncrementalEligible(windows);
     stats_.fell_back_to_full = !incremental_active_;
+  }
+  // An incremental single window keeps its partials in a node — it is a
+  // tail exactly when that applies (docs/SHARING.md).
+  const bool wants_node =
+      shape_ == Shape::kSingleWindow && incremental_active_;
+  if (wants_node != (node_ != nullptr)) {
+    return Status::InvalidArgument(
+        wants_node ? "incremental window requires a SharedWindowNode"
+                   : "only an incremental divisible single-stream window "
+                     "runs on a SharedWindowNode");
+  }
+  if (node_ != nullptr) {
+    const int rel = stream_rels_[0];
+    const plan::WindowSpec& w = *inputs_[rel].window;
+    const Table* table =
+        table_rel_ >= 0 ? inputs_[table_rel_].table.get() : nullptr;
+    if (node_sub_ < 0 || inputs_[rel].basket != node_->basket() ||
+        table != node_->table()) {
+      return Status::InvalidArgument(
+          "node tail needs a subscription to a node over its stream and "
+          "table");
+    }
+    if (!node_->Compatible(w.rows, w.slide)) {
+      return Status::InvalidArgument(
+          "node tail window is not grid-compatible with its node");
+    }
   }
   if (shape_ == Shape::kDualWindow) {
     // Local-aggregate numbering for the pre-aggregated delta path: each
@@ -217,9 +202,6 @@ FactoryStats Factory::Stats() const {
   s.cached_partials = partials_.size();
   size_t bytes = 0;
   for (const auto& [k, p] : partials_) bytes += p.MemoryBytes();
-  for (const auto& [k, c] : compact_) {
-    for (const BatPtr& col : c.cols) bytes += col->MemoryBytes();
-  }
   // Rolling delta-join state (one of the two sets is in use, the other
   // stays empty — row path vs pre-aggregated path).
   for (int side = 0; side < 2; ++side) {
@@ -256,6 +238,17 @@ Status Factory::RestoreProgress(const storage::FactoryProgress& p) {
         StrFormat("factory %s: progress has %zu origins, factory has %zu "
                   "inputs",
                   name_.c_str(), p.origins.size(), origin_seq_.size()));
+  }
+  if (node_ != nullptr) {
+    const int rel = stream_rels_[0];
+    if (p.origins[rel] != node_->origin_seq()) {
+      return Status::InvalidArgument(StrFormat(
+          "factory %s: restored stream origin %llu differs from node %s "
+          "origin %llu",
+          name_.c_str(), static_cast<unsigned long long>(p.origins[rel]),
+          node_->label().c_str(),
+          static_cast<unsigned long long>(node_->origin_seq())));
+    }
   }
   // Only cursors are restored. Reader cursors self-heal (each fire
   // re-advances them), and window/partial/join state rebuilds from the
@@ -299,11 +292,10 @@ bool Factory::CheckReadyLocked() const {
       const int rel = stream_rels_[0];
       return inputs_[rel].basket->HighSeq() > batch_cursor_;
     }
-    case Shape::kSharedTail:
     case Shape::kSingleWindow: {
-      // Shared tails probe exactly like private single-window factories:
-      // origin_seq_ was anchored at the node's origin in Validate, and
-      // readiness only reads the basket's high seq / watermark.
+      // Node tails probe like full re-evaluation: origin_seq_ was anchored
+      // at the node's origin in Validate, and readiness only reads the
+      // basket's high seq / watermark.
       const int rel = stream_rels_[0];
       const FactoryInput& in = inputs_[rel];
       const WindowMath wm(*in.window);
@@ -348,24 +340,11 @@ bool Factory::RangeSideReady(int rel, const WindowMath& wm, int64_t m) const {
   return b->sealed() && wm.RangeExtent(m).first <= watermark;
 }
 
-Result<exec::StageInput> Factory::ReadStreamExtent(int rel, bool rows_mode,
-                                                   int64_t lo,
+Result<exec::StageInput> Factory::ReadStreamExtent(int rel, int64_t lo,
                                                    int64_t hi) const {
   const FactoryInput& in = inputs_[rel];
-  BasketView view;
-  if (rows_mode) {
-    const int64_t origin = static_cast<int64_t>(origin_seq_[rel]);
-    const int64_t abs_lo = std::max<int64_t>(origin + lo, origin);
-    const int64_t abs_hi = std::max<int64_t>(origin + hi, abs_lo);
-    view = in.basket->Read(static_cast<uint64_t>(abs_lo),
-                           static_cast<uint64_t>(abs_hi - abs_lo));
-  } else {
-    DC_ASSIGN_OR_RETURN(auto range, in.basket->SeqRangeForTs(lo, hi));
-    uint64_t seq_lo = std::max(range.first, origin_seq_[rel]);
-    uint64_t seq_hi = std::max(range.second, seq_lo);
-    view = in.basket->Read(seq_lo, seq_hi - seq_lo);
-  }
-  return exec::StageInput{std::move(view.cols), view.rows};
+  return ReadWindowExtent(*in.basket, origin_seq_[rel], in.window->rows, lo,
+                          hi);
 }
 
 exec::StageInput Factory::TableInput(int rel) const {
@@ -434,8 +413,6 @@ Status Factory::FireLocked() {
       return FireSingleWindow();
     case Shape::kDualWindow:
       return FireDualWindow();
-    case Shape::kSharedTail:
-      return FireSharedTail();
   }
   return Status::Internal("bad shape");
 }
@@ -460,67 +437,6 @@ Status Factory::FirePerBatch() {
   return Status::OK();
 }
 
-Result<const exec::StageInput*> Factory::EnsureCompact(int rel,
-                                                       bool rows_mode,
-                                                       int64_t bw) {
-  const auto key = std::make_pair(rel, bw);
-  auto it = compact_.find(key);
-  if (it != compact_.end()) return &it->second;
-  const WindowMath wm(*inputs_[rel].window);
-  const auto [lo, hi] = wm.BasicWindowExtent(bw);
-  DC_ASSIGN_OR_RETURN(exec::StageInput raw,
-                      ReadStreamExtent(rel, rows_mode, lo, hi));
-  stats_.tuples_in += raw.rows;
-  DC_ASSIGN_OR_RETURN(exec::StageOutput pre, executor_->RunPrejoin(rel, raw));
-  auto [pos, inserted] = compact_.emplace(
-      key, exec::StageInput{std::move(pre.cols), pre.rows});
-  return &pos->second;
-}
-
-Result<const exec::Partial*> Factory::EnsureSinglePartial(
-    int64_t bw, bool rows_mode, uint64_t table_version) {
-  const int rel = stream_rels_[0];
-  const PartialKey key{bw, 0};
-  auto it = partials_.find(key);
-  if (it != partials_.end() &&
-      (table_rel_ < 0 || partial_versions_[key] == table_version)) {
-    return &it->second;
-  }
-  stats_.fragments_computed++;
-  if (table_rel_ < 0) {
-    // No second relation: run the whole fragment pipeline directly.
-    const WindowMath wm(*inputs_[rel].window);
-    const auto [lo, hi] = wm.BasicWindowExtent(bw);
-    std::vector<exec::StageInput> raw(inputs_.size());
-    DC_ASSIGN_OR_RETURN(raw[rel], ReadStreamExtent(rel, rows_mode, lo, hi));
-    stats_.tuples_in += raw[rel].rows;
-    DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->ComputePartial(raw));
-    auto [pos, ignored] = partials_.insert_or_assign(key, std::move(p));
-    return &pos->second;
-  }
-  // Stream-table: reuse the cached stream-side prejoin fragment; re-run the
-  // (cheap) postjoin against the current table version.
-  DC_ASSIGN_OR_RETURN(const exec::StageInput* sc,
-                      EnsureCompact(rel, rows_mode, bw));
-  if (!table_compact_.has_value() ||
-      table_compact_version_ != table_version) {
-    DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                        executor_->RunPrejoin(table_rel_,
-                                              TableInput(table_rel_)));
-    table_compact_ = exec::StageInput{std::move(pre.cols), pre.rows};
-    table_compact_version_ = table_version;
-  }
-  std::vector<exec::StageInput> compact(inputs_.size());
-  compact[rel] = *sc;
-  compact[table_rel_] = *table_compact_;
-  DC_ASSIGN_OR_RETURN(exec::StageOutput frag,
-                      executor_->RunPostjoin(compact));
-  DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(frag));
-  auto [pos, ignored] = partials_.insert_or_assign(key, std::move(p));
-  partial_versions_[key] = table_version;
-  return &pos->second;
-}
-
 Status Factory::FireSingleWindow() {
   const int rel = stream_rels_[0];
   const FactoryInput& in = inputs_[rel];
@@ -536,91 +452,44 @@ Status Factory::FireSingleWindow() {
     std::tie(ext_lo, ext_hi) = wm.RangeExtent(k);
   }
   const Micros trigger = TriggerStampLocked(k);
+  // Everything before the next window's start is released after emitting.
+  const int64_t next_lo =
+      rows_mode ? wm.RowsWindowStart(k + 1) : wm.RangeExtent(k + 1).first;
 
-  if (!incremental_active_) {
+  if (node_ != nullptr) {
+    // The node serves (and caches) the grid partials covering this window;
+    // whichever subscriber fires first pays for a build, later ones hit.
+    std::vector<PartialPtr> parts;
+    uint64_t built = 0, hits = 0, rows_in = 0;
+    DC_RETURN_NOT_OK(
+        node_->EnsureRange(ext_lo, ext_hi, &parts, &built, &hits, &rows_in));
+    stats_.fragments_computed += built;
+    stats_.sharing_hits += hits;
+    stats_.tuples_in += rows_in;
+    std::vector<const exec::Partial*> ps;
+    ps.reserve(parts.size());
+    for (const PartialPtr& p : parts) ps.push_back(p.get());
+    DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
+    DC_RETURN_NOT_OK(EmitResult(result, trigger));
+    // The node advances its reader / evicts at the minimum mark across
+    // subscribers.
+    node_->Release(node_sub_, next_lo);
+  } else {
     std::vector<exec::StageInput> raw(inputs_.size());
-    DC_ASSIGN_OR_RETURN(raw[rel],
-                        ReadStreamExtent(rel, rows_mode, ext_lo, ext_hi));
+    DC_ASSIGN_OR_RETURN(raw[rel], ReadStreamExtent(rel, ext_lo, ext_hi));
     if (table_rel_ >= 0) raw[table_rel_] = TableInput(table_rel_);
     stats_.tuples_in += raw[rel].rows;
     DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
     DC_RETURN_NOT_OK(EmitResult(result, trigger));
-  } else {
-    const uint64_t version =
-        table_rel_ >= 0 ? inputs_[table_rel_].table->Snapshot()->version : 0;
-    const auto [first, last] = rows_mode ? wm.BasicWindowsForRows(k)
-                                         : wm.BasicWindowsForRange(k);
-    std::vector<const exec::Partial*> ps;
-    for (int64_t j = first; j < last; ++j) {
-      DC_ASSIGN_OR_RETURN(const exec::Partial* p,
-                          EnsureSinglePartial(j, rows_mode, version));
-      ps.push_back(p);
+    if (rows_mode) {
+      in.basket->AdvanceReader(in.reader_id,
+                               origin_seq_[rel] + static_cast<uint64_t>(next_lo));
+    } else {
+      DC_ASSIGN_OR_RETURN(auto range,
+                          in.basket->SeqRangeForTs(next_lo, next_lo + 1));
+      in.basket->AdvanceReader(in.reader_id, range.first);
     }
-    DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
-    DC_RETURN_NOT_OK(EmitResult(result, trigger));
-    // Evict state that the next emission can no longer use.
-    const int64_t keep_from = first + 1;
-    std::erase_if(partials_,
-                  [&](const auto& kv) { return kv.first.a < keep_from; });
-    std::erase_if(partial_versions_,
-                  [&](const auto& kv) { return kv.first.a < keep_from; });
-    std::erase_if(compact_,
-                  [&](const auto& kv) { return kv.first.second < keep_from; });
   }
-
-  // Release consumed tuples: everything before the next window's start.
-  if (rows_mode) {
-    const uint64_t next_start =
-        origin_seq_[rel] + static_cast<uint64_t>(wm.RowsWindowStart(k + 1));
-    in.basket->AdvanceReader(in.reader_id, next_start);
-  } else {
-    const auto [next_lo, next_hi] = wm.RangeExtent(k + 1);
-    DC_ASSIGN_OR_RETURN(auto range,
-                        in.basket->SeqRangeForTs(next_lo, next_lo + 1));
-    in.basket->AdvanceReader(in.reader_id, range.first);
-  }
-  next_emission_ = k + 1;
-  return Status::OK();
-}
-
-Status Factory::FireSharedTail() {
-  const int rel = stream_rels_[0];
-  const FactoryInput& in = inputs_[rel];
-  const WindowMath wm(*in.window);
-  const bool rows_mode = in.window->rows;
-  const int64_t k = next_emission_.value_or(0);
-
-  int64_t ext_lo, ext_hi;  // window extent in window coordinates
-  if (rows_mode) {
-    ext_lo = wm.RowsWindowStart(k);
-    ext_hi = wm.RowsWindowEnd(k);
-  } else {
-    std::tie(ext_lo, ext_hi) = wm.RangeExtent(k);
-  }
-  const Micros trigger = TriggerStampLocked(k);
-
-  // The node serves (and caches) the grid partials covering this window;
-  // whichever subscriber fires first pays for a build, everyone else hits.
-  std::vector<PartialPtr> parts;
-  uint64_t built = 0, hits = 0, rows_in = 0;
-  DC_RETURN_NOT_OK(
-      node_->EnsureRange(ext_lo, ext_hi, &parts, &built, &hits, &rows_in));
-  stats_.fragments_computed += built;
-  stats_.sharing_hits += hits;
-  stats_.tuples_in += rows_in;
-  std::vector<const exec::Partial*> ps;
-  ps.reserve(parts.size());
-  for (const PartialPtr& p : parts) ps.push_back(p.get());
-  DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->Finish(ps));
-  DC_RETURN_NOT_OK(EmitResult(result, trigger));
-
-  // Release everything before the next window's start; the node advances
-  // its reader / evicts at the minimum mark across subscribers.
-  const int64_t next_lo =
-      rows_mode ? wm.RowsWindowStart(k + 1) : wm.RangeExtent(k + 1).first;
-  const WindowMath grid(
-      plan::WindowSpec{rows_mode, node_->grid_slide(), node_->grid_slide()});
-  node_->Release(node_sub_, grid.BasicWindowOf(next_lo));
   next_emission_ = k + 1;
   return Status::OK();
 }
@@ -636,8 +505,8 @@ Status Factory::FireDualWindow() {
     std::vector<exec::StageInput> raw(inputs_.size());
     const auto [llo, lhi] = wl.RangeExtent(m);
     const auto [rlo, rhi] = wr.RangeExtent(m);
-    DC_ASSIGN_OR_RETURN(raw[l], ReadStreamExtent(l, false, llo, lhi));
-    DC_ASSIGN_OR_RETURN(raw[r], ReadStreamExtent(r, false, rlo, rhi));
+    DC_ASSIGN_OR_RETURN(raw[l], ReadStreamExtent(l, llo, lhi));
+    DC_ASSIGN_OR_RETURN(raw[r], ReadStreamExtent(r, rlo, rhi));
     stats_.tuples_in += raw[l].rows + raw[r].rows;
     DC_ASSIGN_OR_RETURN(ColumnSet result, executor_->ExecuteFull(raw));
     DC_RETURN_NOT_OK(EmitResult(result, TriggerStampLocked(m)));
@@ -660,8 +529,7 @@ Status Factory::FireDualWindow() {
 Result<exec::StageOutput> Factory::PrejoinBasicWindow(int rel, int64_t bw) {
   const WindowMath wm(*inputs_[rel].window);
   const auto [lo, hi] = wm.BasicWindowExtent(bw);
-  DC_ASSIGN_OR_RETURN(exec::StageInput raw,
-                      ReadStreamExtent(rel, /*rows_mode=*/false, lo, hi));
+  DC_ASSIGN_OR_RETURN(exec::StageInput raw, ReadStreamExtent(rel, lo, hi));
   stats_.tuples_in += raw.rows;
   return executor_->RunPrejoin(rel, raw);
 }

@@ -11,7 +11,11 @@
 //                 the mode for non-windowed and tumbling-window queries.
 //   kIncremental  per-basic-window partial caching + merge (DESIGN.md
 //                 §4.6). Requires slide | size; falls back to full
-//                 re-evaluation otherwise (recorded in stats).
+//                 re-evaluation otherwise (recorded in stats). A single
+//                 windowed stream (+ optional table) keeps its partials in
+//                 a SharedWindowNode and the factory is the node's merge
+//                 tail; stream-stream joins run delta joins over partials
+//                 the factory keeps itself.
 
 #ifndef DATACELL_CORE_FACTORY_H_
 #define DATACELL_CORE_FACTORY_H_
@@ -61,6 +65,9 @@ struct FactoryStats {
   uint64_t tuples_out = 0;
   Micros total_exec_micros = 0;
   Micros last_exec_micros = 0;
+  /// The factory's own incremental state: delta-join partials and
+  /// retained sides. A node tail caches nothing itself; its partials are
+  /// counted on its node (SharedNodeStats).
   uint64_t cached_partials = 0;
   size_t cached_bytes = 0;
   uint64_t fragments_computed = 0;  // basic-window fragments evaluated
@@ -76,9 +83,9 @@ struct FactoryStats {
   uint64_t retained_dead_rows = 0;
   /// Live entries across both sides' rolling join-key hash indexes.
   uint64_t index_entries = 0;
-  /// Shared-tail factories (docs/SHARING.md): basic-window partials this
-  /// query needed that were served from its shared node's cache instead
-  /// of being rebuilt (fragments_computed counts the ones it built).
+  /// Node tails (docs/SHARING.md): basic-window partials this query
+  /// needed that were served from its node's cache instead of being
+  /// rebuilt (fragments_computed counts the ones it built).
   uint64_t sharing_hits = 0;
   bool fell_back_to_full = false;   // incremental requested, not divisible
   bool paused = false;
@@ -92,24 +99,20 @@ class Factory {
   /// Supported shapes (validated): one non-windowed stream (+ optional
   /// table), one windowed stream (+ optional table), or two RANGE-windowed
   /// streams with equal slide.
+  ///
+  /// An incremental single-stream window that divides
+  /// (plan::IncrementalEligible) is a merge tail of `node`
+  /// (docs/SHARING.md), and only such a factory takes one: its stream input
+  /// carries reader_id = -1 (the node owns the only reader) on the node's
+  /// basket, its window must be grid-compatible (node->Compatible), and
+  /// `node_sub` is the engine-owned subscription used for Release calls
+  /// (node->Subscribe before creation, node->Unsubscribe after the factory
+  /// leaves the scheduler).
   static Result<std::shared_ptr<Factory>> Create(
       int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
       ExecMode mode, std::vector<FactoryInput> inputs,
-      std::shared_ptr<Basket> output);
-
-  /// Shared-tail variant (docs/SHARING.md): a per-query merge tail over a
-  /// SharedWindowNode. `inputs` must be exactly one windowed stream with
-  /// reader_id = -1 (the node owns the only reader); the window must be
-  /// divisible (slide | size) and grid-compatible with the node
-  /// (node->Compatible). The tail merges the node's grid partials
-  /// covering its own window extents and releases consumed grid windows
-  /// through `sub_id` — the engine owns the subscription
-  /// (node->Subscribe before creation, node->Unsubscribe after the tail
-  /// leaves the scheduler).
-  static Result<std::shared_ptr<Factory>> CreateSharedTail(
-      int id, std::string name, std::shared_ptr<exec::QueryExecutor> executor,
-      std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-      SharedWindowNodePtr node, int sub_id);
+      std::shared_ptr<Basket> output, SharedWindowNodePtr node = nullptr,
+      int node_sub = -1);
 
   ~Factory();
 
@@ -119,6 +122,10 @@ class Factory {
   const exec::QueryExecutor& executor() const { return *executor_; }
   Basket* output() const { return output_.get(); }
   const std::vector<FactoryInput>& inputs() const { return inputs_; }
+  /// The node serving this factory's partials (null unless it is a node
+  /// tail) and the subscription the engine drops at teardown.
+  const SharedWindowNodePtr& node() const { return node_; }
+  int node_sub() const { return node_sub_; }
 
   /// Distinct stream input baskets — the Petri-net places whose
   /// data-arrival pulses can enable this transition. The engine attaches
@@ -149,16 +156,20 @@ class Factory {
   /// Recovery: re-applies captured progress to a freshly created factory.
   /// Valid only before the first Fire — the caller (Engine recovery)
   /// restores progress before registering the factory with the scheduler,
-  /// so a worker can never fire it against pre-restore origins.
+  /// so a worker can never fire it against pre-restore origins. A node
+  /// tail refuses a stream origin other than its node's origin_seq(): its
+  /// window coordinates must stay anchored where the grid is.
   Status RestoreProgress(const storage::FactoryProgress& p);
 
  private:
-  enum class Shape { kPerBatch, kSingleWindow, kDualWindow, kSharedTail };
+  /// kSingleWindow re-evaluates its window in full, or — with a node —
+  /// merges the node's grid partials.
+  enum class Shape { kPerBatch, kSingleWindow, kDualWindow };
 
   Factory(int id, std::string name,
           std::shared_ptr<exec::QueryExecutor> executor, ExecMode mode,
           std::vector<FactoryInput> inputs, std::shared_ptr<Basket> output,
-          SharedWindowNodePtr node = nullptr, int sub_id = -1);
+          SharedWindowNodePtr node, int node_sub);
 
   /// Runs pre-publication from Create, which takes mu_ around the call so
   /// the analysis can check Validate's guarded writes.
@@ -169,7 +180,6 @@ class Factory {
   Status FirePerBatch() DC_REQUIRES(mu_);
   Status FireSingleWindow() DC_REQUIRES(mu_);
   Status FireDualWindow() DC_REQUIRES(mu_);
-  Status FireSharedTail() DC_REQUIRES(mu_);
 
   /// Initializes the first RANGE emission boundary from the earliest
   /// resident event; returns false if no data yet.
@@ -182,8 +192,8 @@ class Factory {
 
   /// Reads the stream rows of stream input `rel` covering [lo, hi) in the
   /// window coordinate space (seqs for ROWS, event ts for RANGE).
-  Result<exec::StageInput> ReadStreamExtent(int rel, bool rows_mode,
-                                            int64_t lo, int64_t hi) const
+  Result<exec::StageInput> ReadStreamExtent(int rel, int64_t lo,
+                                            int64_t hi) const
       DC_REQUIRES(mu_);
 
   exec::StageInput TableInput(int rel) const DC_REQUIRES(mu_);
@@ -202,13 +212,10 @@ class Factory {
   Status EmitResult(const ColumnSet& result, Micros trigger_us)
       DC_REQUIRES(mu_);
 
-  /// Incremental caches. `compact_` holds per-(rel, basic-window) prejoin
-  /// outputs (kept when a second relation needs re-joining); `partials_`
-  /// holds mergeable partials keyed by basic window (single windowed
-  /// stream: {bw, 0}) or, for stream-stream delta joins, by
-  /// {expiry emission, creating emission} — the first component is the
-  /// basic-window-driven emission ordinal at which every pair in the
-  /// partial has left the window, so expiry evicts whole partials.
+  /// Stream-stream delta-join partials, keyed {expiry emission, creating
+  /// emission}: the first component is the basic-window-driven emission
+  /// ordinal at which every pair in the partial has left the window, so
+  /// expiry evicts whole partials.
   struct PartialKey {
     int64_t a = 0;
     int64_t b = 0;
@@ -216,12 +223,6 @@ class Factory {
       return a != o.a ? a < o.a : b < o.b;
     }
   };
-
-  Result<const exec::StageInput*> EnsureCompact(int rel, bool rows_mode,
-                                                int64_t bw) DC_REQUIRES(mu_);
-  Result<const exec::Partial*> EnsureSinglePartial(int64_t bw, bool rows_mode,
-                                                   uint64_t table_version)
-      DC_REQUIRES(mu_);
 
   /// Reads and prejoins basic window `bw` of stream `rel` (RANGE mode).
   /// Each basic window is prejoined exactly once per side — the result is
@@ -255,8 +256,8 @@ class Factory {
   const ExecMode mode_;
   std::vector<FactoryInput> inputs_;
   std::shared_ptr<Basket> output_;
-  /// Shared-tail factories only: the node serving this query's partials
-  /// and the engine-owned subscription id used for Release calls.
+  /// Node tails only: the node serving this query's partials and the
+  /// engine-owned subscription id used for Release calls.
   const SharedWindowNodePtr node_;
   const int node_sub_ = -1;
 
@@ -287,12 +288,7 @@ class Factory {
   // ROWS windows are relative to this origin).
   std::vector<uint64_t> origin_seq_ DC_GUARDED_BY(mu_);
 
-  std::map<std::pair<int, int64_t>, exec::StageInput> compact_
-      DC_GUARDED_BY(mu_);
   std::map<PartialKey, exec::Partial> partials_ DC_GUARDED_BY(mu_);
-  std::map<PartialKey, uint64_t> partial_versions_ DC_GUARDED_BY(mu_);
-  std::optional<exec::StageInput> table_compact_ DC_GUARDED_BY(mu_);
-  uint64_t table_compact_version_ DC_GUARDED_BY(mu_) = 0;
 
   /// Rolling retained-side state per join side (kDualWindow incremental):
   /// the row path uses delta_side_, the pre-aggregated path delta_groups_.

@@ -6,13 +6,47 @@
 
 namespace dc {
 
+namespace {
+
+// Index of the first relation of `q` that is (or is not) a stream, or -1.
+int RelSlot(const plan::BoundQuery& q, bool stream) {
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (q.rels[r].is_stream == stream) return static_cast<int>(r);
+  }
+  return -1;
+}
+
+}  // namespace
+
+Result<exec::StageInput> ReadWindowExtent(const Basket& basket,
+                                          uint64_t origin_seq, bool rows_mode,
+                                          int64_t lo, int64_t hi) {
+  BasketView view;
+  if (rows_mode) {
+    const int64_t origin = static_cast<int64_t>(origin_seq);
+    const int64_t abs_lo = std::max<int64_t>(origin + lo, origin);
+    const int64_t abs_hi = std::max<int64_t>(origin + hi, abs_lo);
+    view = basket.Read(static_cast<uint64_t>(abs_lo),
+                       static_cast<uint64_t>(abs_hi - abs_lo));
+  } else {
+    DC_ASSIGN_OR_RETURN(auto range, basket.SeqRangeForTs(lo, hi));
+    const uint64_t seq_lo = std::max(range.first, origin_seq);
+    const uint64_t seq_hi = std::max(range.second, seq_lo);
+    view = basket.Read(seq_lo, seq_hi - seq_lo);
+  }
+  return exec::StageInput{std::move(view.cols), view.rows};
+}
+
 SharedWindowNode::SharedWindowNode(
-    std::string label, std::shared_ptr<Basket> basket,
+    std::string label, std::shared_ptr<Basket> basket, TablePtr table,
     std::shared_ptr<exec::QueryExecutor> executor, bool rows_mode,
     int64_t grid_slide)
     : label_(std::move(label)),
       basket_(std::move(basket)),
+      table_(std::move(table)),
       executor_(std::move(executor)),
+      stream_rel_(RelSlot(executor_->compiled().bound, true)),
+      table_rel_(RelSlot(executor_->compiled().bound, false)),
       rows_mode_(rows_mode),
       grid_slide_(grid_slide) {
   reader_id_ = basket_->RegisterReader(/*from_start=*/true);
@@ -56,60 +90,71 @@ int SharedWindowNode::subscribers() const {
   return static_cast<int>(subs_.size());
 }
 
-Result<exec::StageInput> SharedWindowNode::ReadExtent(int64_t lo,
-                                                      int64_t hi) const {
-  BasketView view;
-  if (rows_mode_) {
-    const int64_t origin = static_cast<int64_t>(origin_seq_);
-    const int64_t abs_lo = std::max<int64_t>(origin + lo, origin);
-    const int64_t abs_hi = std::max<int64_t>(origin + hi, abs_lo);
-    view = basket_->Read(static_cast<uint64_t>(abs_lo),
-                         static_cast<uint64_t>(abs_hi - abs_lo));
-  } else {
-    DC_ASSIGN_OR_RETURN(auto range, basket_->SeqRangeForTs(lo, hi));
-    const uint64_t seq_lo = std::max(range.first, origin_seq_);
-    const uint64_t seq_hi = std::max(range.second, seq_lo);
-    view = basket_->Read(seq_lo, seq_hi - seq_lo);
-  }
-  return exec::StageInput{std::move(view.cols), view.rows};
-}
-
 Status SharedWindowNode::EnsureRange(int64_t lo, int64_t hi,
                                      std::vector<PartialPtr>* out,
                                      uint64_t* built, uint64_t* hits,
                                      uint64_t* rows_in) {
   MutexLock lock(mu_);
-  const WindowMath gm(GridSpec());
+  // One table version per call: every partial this call serves joined the
+  // same snapshot, and the table's prejoin runs once per version.
+  uint64_t version = 0;
+  if (table_ != nullptr) {
+    const TableVersionPtr snap = table_->Snapshot();
+    version = snap->version;
+    if (table_pre_version_ != version) {
+      DC_ASSIGN_OR_RETURN(
+          exec::StageOutput pre,
+          executor_->RunPrejoin(table_rel_,
+                                exec::StageInput{snap->cols, snap->NumRows()}));
+      table_pre_ = exec::StageInput{std::move(pre.cols), pre.rows};
+      table_pre_version_ = version;
+    }
+  }
+  const WindowMath gm = Grid();
   const int64_t first = gm.BasicWindowOf(lo);
   // Subsumption keeps tail extents grid-aligned; tolerate a ragged end
   // anyway by covering through the last coordinate.
   const int64_t last = lo < hi ? gm.BasicWindowOf(hi - 1) + 1 : first;
   for (int64_t j = first; j < last; ++j) {
-    if (auto it = cache_.find(j); it != cache_.end()) {
-      out->push_back(it->second);
+    if (auto it = cache_.find(j);
+        it != cache_.end() && it->second.table_version == version) {
+      out->push_back(it->second.partial);
       ++*hits;
       ++hits_;
       continue;
     }
-    const auto [blo, bhi] = gm.BasicWindowExtent(j);
-    std::vector<exec::StageInput> raw(1);
-    DC_ASSIGN_OR_RETURN(raw[0], ReadExtent(blo, bhi));
-    *rows_in += raw[0].rows;
-    tuples_in_ += raw[0].rows;
-    DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->ComputePartial(raw));
-    auto sp = std::make_shared<const exec::Partial>(std::move(p));
-    cache_.emplace(j, sp);
-    out->push_back(std::move(sp));
+    DC_ASSIGN_OR_RETURN(PartialPtr p, BuildLocked(j, rows_in));
+    cache_.insert_or_assign(j, GridPartial{p, version});
+    out->push_back(std::move(p));
     ++*built;
     ++builds_;
   }
   return Status::OK();
 }
 
-void SharedWindowNode::Release(int sub_id, int64_t first_needed_bw) {
+Result<PartialPtr> SharedWindowNode::BuildLocked(int64_t j,
+                                                 uint64_t* rows_in) {
+  const auto [blo, bhi] = Grid().BasicWindowExtent(j);
+  DC_ASSIGN_OR_RETURN(
+      exec::StageInput raw,
+      ReadWindowExtent(*basket_, origin_seq_, rows_mode_, blo, bhi));
+  *rows_in += raw.rows;
+  tuples_in_ += raw.rows;
+  std::vector<exec::StageInput> compact(executor_->compiled().bound.rels.size());
+  DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
+                      executor_->RunPrejoin(stream_rel_, raw));
+  compact[stream_rel_] = exec::StageInput{std::move(pre.cols), pre.rows};
+  if (table_rel_ >= 0) compact[table_rel_] = table_pre_;
+  DC_ASSIGN_OR_RETURN(exec::StageOutput frag, executor_->RunPostjoin(compact));
+  DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(frag));
+  return std::make_shared<const exec::Partial>(std::move(p));
+}
+
+void SharedWindowNode::Release(int sub_id, int64_t lo) {
   MutexLock lock(mu_);
   auto it = subs_.find(sub_id);
   if (it == subs_.end()) return;
+  const int64_t first_needed_bw = Grid().BasicWindowOf(lo);
   if (first_needed_bw > it->second) it->second = first_needed_bw;
   EvictLocked();
 }
@@ -153,7 +198,9 @@ SharedNodeStats SharedWindowNode::Stats() const {
   s.sharing_hits = hits_;
   s.tuples_in = tuples_in_;
   s.cached_partials = cache_.size();
-  for (const auto& [j, p] : cache_) s.cached_bytes += p->MemoryBytes();
+  for (const auto& [j, gp] : cache_) {
+    s.cached_bytes += gp.partial->MemoryBytes();
+  }
   return s;
 }
 

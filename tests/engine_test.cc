@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -250,6 +251,75 @@ TEST_F(EngineTest, SinkMayReenterEngineDuringPump) {
 // drained it after release, so a concurrent RemoveContinuous() destroyed
 // the emitter mid-drain (use-after-free under ASan). The entry now holds
 // a shared_ptr that drainers copy.
+// Every incremental divisible single-stream window — stream-only or
+// joined with a table — runs as the tail of a SharedWindowNode, with
+// sharing on or off; the node holds the query's only basket reader.
+TEST(EngineNodeTest, IncrementalWindowsRunOnNodesWithSharingOnAndOff) {
+  for (const bool sharing : {true, false}) {
+    SCOPED_TRACE(sharing ? "sharing on" : "sharing off");
+    EngineOptions o = testutil::SyncOptions();
+    o.enable_sharing = sharing;
+    Engine engine(o);
+    ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, g int, v int);"
+                               "CREATE TABLE dim (g int, label string);"
+                               "INSERT INTO dim VALUES (1, 'a'), (2, 'b')")
+                    .ok());
+    const char* queries[] = {
+        "SELECT g, sum(v) FROM s [RANGE 4 SECONDS SLIDE 2 SECONDS] GROUP BY g",
+        "SELECT label, count(*) FROM s [ROWS 6 SLIDE 3] "
+        "JOIN dim ON s.g = dim.g GROUP BY label"};
+    std::vector<int> ids;
+    for (const char* sql : queries) {
+      auto id = engine.SubmitContinuous(sql);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(*id);
+    }
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(engine
+                      .PushRow("s", {Value::Ts(i * kMicrosPerSecond),
+                                     Value::I64(i % 3), Value::I64(i)})
+                      .ok());
+      engine.Pump();
+    }
+
+    const SharingStats ss = engine.GetSharingStats();
+    ASSERT_EQ(ss.nodes.size(), 2u);
+    for (const ContinuousQueryInfo& q : engine.Queries()) {
+      SCOPED_TRACE(q.sql);
+      ASSERT_FALSE(q.shared_node.empty());
+      auto node = std::find_if(
+          ss.nodes.begin(), ss.nodes.end(),
+          [&](const SharedNodeStats& n) { return n.label == q.shared_node; });
+      ASSERT_NE(node, ss.nodes.end());
+      EXPECT_EQ(node->stream, "s");
+      EXPECT_EQ(node->subscribers, 1);
+      EXPECT_GT(node->partial_builds, 0u);
+      EXPECT_GT(q.factory.emissions, 0u);
+      // The factory holds no reader of its own...
+      for (const FactoryInput& in : engine.GetFactory(q.id)->inputs()) {
+        if (in.is_stream) EXPECT_LT(in.reader_id, 0);
+      }
+    }
+    // ...so the stream's readers are exactly the two nodes'.
+    EXPECT_EQ(engine.StreamStats("s")->readers, 2u);
+
+    // EXPLAIN names the stream⋈table node a new tail would join.
+    auto explain = engine.ExplainSql(
+        "SELECT label, count(*) FROM s [ROWS 12 SLIDE 6] "
+        "JOIN dim ON s.g = dim.g GROUP BY label HAVING count(*) > 1",
+        plan::PlanMode::kContinuousIncremental);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find(sharing ? "shared with 1 query (window node s#2)"
+                                    : "sharing: disabled"),
+              std::string::npos)
+        << *explain;
+
+    for (int id : ids) ASSERT_TRUE(engine.RemoveContinuous(id).ok());
+    EXPECT_TRUE(engine.GetSharingStats().nodes.empty());
+    EXPECT_EQ(engine.StreamStats("s")->readers, 0u);
+  }
+}
+
 TEST(EngineConcurrencyTest, TakeResultsRacesRemoveContinuous) {
   Engine engine;  // threaded mode: 2 scheduler workers
   ASSERT_TRUE(

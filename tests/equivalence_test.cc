@@ -697,9 +697,12 @@ TEST_F(DeltaJoinLongHorizon, PreAggPathCountersMatchBruteForce) {
 // engine with EngineOptions::enable_sharing = false. The matrix covers
 // factory-level dedup (identical texts, incl. joins and full re-evaluation
 // mode), shared window nodes (same fragment prefix, differing HAVING/LIMIT
-// tails), window subsumption (coarser compatible slides riding a finer
-// grid), and the paths sharing must NOT capture (non-divisible fallback,
-// incompatible slides).
+// tails, with or without a joined table), window subsumption (coarser
+// compatible slides riding a finer grid), and the paths sharing must NOT
+// capture (non-divisible fallback, incompatible slides). Unshared
+// incremental windows still run on (one-subscriber) nodes, so every
+// incremental case is also checked against a solo full re-evaluation,
+// which shares no code with the node.
 
 EngineOptions SharingOpts(bool enable) {
   EngineOptions o = testutil::SyncOptions();
@@ -720,6 +723,10 @@ class SharingDifferential : public ::testing::Test {
             .ok());
     ASSERT_TRUE(
         e.Execute("CREATE STREAM r (rts timestamp, kr int, y int)").ok());
+    ASSERT_TRUE(e.Execute("CREATE TABLE dim (dg int, label string);"
+                          "INSERT INTO dim VALUES (0,'a'), (1,'b'), "
+                          "(1,'bb'), (2,'c'), (4,'e')")
+                    .ok());
   }
 
   /// Identical deterministic feed for the shared engine and every solo
@@ -741,8 +748,22 @@ class SharingDifferential : public ::testing::Test {
     e.Pump();
   }
 
+  /// Emissions of `c` run alone in a fresh unshared engine in `mode`.
+  static void RunSolo(const ShareCase& c, ExecMode mode,
+                      std::vector<std::string>* out) {
+    Engine solo(SharingOpts(false));
+    ASSERT_NO_FATAL_FAILURE(Ddl(solo));
+    auto sq = solo.SubmitContinuous(c.sql, testutil::WithMode(mode));
+    ASSERT_TRUE(sq.ok()) << sq.status().ToString() << "\nsql: " << c.sql;
+    ASSERT_NO_FATAL_FAILURE(Feed(solo));
+    auto got = solo.TakeResults(*sq);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    *out = testutil::EmissionStrings(*got);
+  }
+
   /// Runs every case concurrently in `shared` and each case alone in a
-  /// fresh unshared engine; emissions must match byte-for-byte.
+  /// fresh unshared engine — incremental cases also in full
+  /// re-evaluation mode; emissions must match byte-for-byte.
   void RunMatrix(const std::vector<ShareCase>& cases, Engine* shared) {
     ASSERT_NO_FATAL_FAILURE(Ddl(*shared));
     for (const ShareCase& c : cases) {
@@ -755,19 +776,19 @@ class SharingDifferential : public ::testing::Test {
       auto got = shared->TakeResults(query_ids_[i]);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_GT(got->size(), 2u) << cases[i].sql;
+      const std::vector<std::string> got_s = testutil::EmissionStrings(*got);
 
-      Engine solo(SharingOpts(false));
-      ASSERT_NO_FATAL_FAILURE(Ddl(solo));
-      auto sq = solo.SubmitContinuous(cases[i].sql,
-                                      testutil::WithMode(cases[i].mode));
-      ASSERT_TRUE(sq.ok()) << sq.status().ToString() << "\nsql: "
-                           << cases[i].sql;
-      ASSERT_NO_FATAL_FAILURE(Feed(solo));
-      auto want = solo.TakeResults(*sq);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      EXPECT_EQ(testutil::EmissionStrings(*got),
-                testutil::EmissionStrings(*want))
+      std::vector<std::string> want;
+      ASSERT_NO_FATAL_FAILURE(RunSolo(cases[i], cases[i].mode, &want));
+      EXPECT_EQ(got_s, want)
           << "query " << i << " diverges under sharing\nsql: " << cases[i].sql;
+      if (cases[i].mode == ExecMode::kIncremental) {
+        ASSERT_NO_FATAL_FAILURE(
+            RunSolo(cases[i], ExecMode::kFullReeval, &want));
+        EXPECT_EQ(got_s, want) << "query " << i
+                               << " diverges from full re-evaluation\nsql: "
+                               << cases[i].sql;
+      }
     }
   }
 
@@ -834,6 +855,31 @@ TEST_F(SharingDifferential, RowsPrefixFamilyWithSubsumption) {
   ASSERT_EQ(ss.shared_nodes, 1u);
   EXPECT_EQ(ss.nodes[0].subscribers, 4);
   EXPECT_EQ(ss.prefix_hits, 3u);
+  EXPECT_EQ(shared.StreamStats("s")->readers, 1u);
+}
+
+TEST_F(SharingDifferential, StreamTablePrefixFamily) {
+  std::vector<ShareCase> cases;
+  // Same stream⋈table fragment prefix, three HAVING constants plus a
+  // coarser compatible geometry: one node caching the joined partials.
+  for (int i = 0; i < 3; ++i) {
+    cases.push_back({StrFormat(
+        "SELECT label, count(*), sum(v) FROM s "
+        "[RANGE 4 SECONDS SLIDE 1 SECONDS] JOIN dim ON s.g = dim.dg "
+        "GROUP BY label HAVING count(*) > %d ORDER BY label", i)});
+  }
+  cases.push_back({"SELECT label, count(*), sum(v) FROM s "
+                   "[RANGE 6 SECONDS SLIDE 2 SECONDS] JOIN dim ON s.g = dim.dg "
+                   "GROUP BY label HAVING sum(v) > 0 ORDER BY label"});
+
+  Engine shared(SharingOpts(true));
+  RunMatrix(cases, &shared);
+
+  const SharingStats ss = shared.GetSharingStats();
+  ASSERT_EQ(ss.shared_nodes, 1u);
+  EXPECT_EQ(ss.nodes[0].subscribers, 4);
+  EXPECT_EQ(ss.prefix_hits, 3u);
+  EXPECT_GT(ss.nodes[0].sharing_hits, 0u);
   EXPECT_EQ(shared.StreamStats("s")->readers, 1u);
 }
 
@@ -906,12 +952,20 @@ TEST_F(SharingDifferential, IncompatibleSlidesSplitNodes) {
 // before the kill concatenated with emissions after recovery must equal
 // the unkilled run BATCH FOR BATCH — same ordinals, same rows, including
 // the n == 0 emissions the empty-window scalar produces. Swept over both
-// execution modes and several kill fractions.
+// execution modes and several kill fractions, with sharing on and off
+// (unshared, every incremental window recovers on its own private node).
 // ---------------------------------------------------------------------------
 
 class RecoveryDifferential : public ::testing::TestWithParam<ExecMode> {
  protected:
   static constexpr int kTapeRows = 36;
+
+  static EngineOptions Options(const std::string& dir, bool sharing) {
+    EngineOptions o = testutil::DurableSyncOptions(
+        dir, nullptr, storage::FsyncPolicy::kInterval);
+    o.enable_sharing = sharing;
+    return o;
+  }
 
   std::vector<int> Submit(Engine& e) {
     std::vector<int> qids;
@@ -922,17 +976,18 @@ class RecoveryDifferential : public ::testing::TestWithParam<ExecMode> {
     }
     return qids;
   }
+
+  void KillAtCheckpointThenRecover(bool sharing);
 };
 
-TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
+void RecoveryDifferential::KillAtCheckpointThenRecover(bool sharing) {
   const std::vector<testutil::WRow> rows = testutil::WorkloadRows(kTapeRows);
 
   // Unkilled oracle.
   std::vector<std::vector<std::string>> oracle;
   {
     const std::string odir = testutil::MakeTempDir("rdiff_oracle");
-    Engine e(testutil::DurableSyncOptions(odir, nullptr,
-                                          storage::FsyncPolicy::kInterval));
+    Engine e(Options(odir, sharing));
     testutil::WorkloadDdl(e);
     const std::vector<int> qids = Submit(e);
     testutil::WorkloadFeed(e, rows, 0, 0, rows.size());
@@ -952,8 +1007,7 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
     // hard-kill spectrum is recovery_test's crash-point enumeration).
     std::vector<std::vector<std::string>> head;
     {
-      Engine e(testutil::DurableSyncOptions(dir, nullptr,
-                                            storage::FsyncPolicy::kInterval));
+      Engine e(Options(dir, sharing));
       testutil::WorkloadDdl(e);
       const std::vector<int> qids = Submit(e);
       testutil::WorkloadFeed(e, rows, 0, 0, kill_at);
@@ -963,8 +1017,7 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
 
     // Phase 2: recover, resume the tape from the replayed low marks,
     // seal, and drain the tail.
-    Engine rec(testutil::DurableSyncOptions(dir, nullptr,
-                                            storage::FsyncPolicy::kInterval));
+    Engine rec(Options(dir, sharing));
     ASSERT_TRUE(rec.recovery_status().ok())
         << rec.recovery_status().ToString();
     std::map<std::string, int> by_sql;
@@ -993,6 +1046,14 @@ TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
     }
     testutil::RemoveDirRecursive(dir);
   }
+}
+
+TEST_P(RecoveryDifferential, KillAtCheckpointThenRecoverMatchesBatchForBatch) {
+  KillAtCheckpointThenRecover(/*sharing=*/true);
+}
+
+TEST_P(RecoveryDifferential, UnsharedKillAtCheckpointThenRecover) {
+  KillAtCheckpointThenRecover(/*sharing=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(

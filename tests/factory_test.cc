@@ -1,5 +1,6 @@
 // Unit tests for Factory: shape validation, firing rules, consumption/
-// dropping behaviour, incremental caching and fallback, pause semantics.
+// dropping behaviour, incremental caching (on a SharedWindowNode) and
+// fallback, node-tail anchoring, pause semantics.
 
 #include "core/factory.h"
 
@@ -21,7 +22,7 @@ class FactoryTest : public ::testing::Test {
     def.schema = s;
     def.ts_column = 0;
     ASSERT_TRUE(catalog_.RegisterStream(def).ok());
-    basket_ = std::make_unique<Basket>("s", s, 0);
+    basket_ = std::make_shared<Basket>("s", s, 0);
 
     Schema out;
     ASSERT_TRUE(out.AddColumn("x", TypeId::kI64).ok());
@@ -41,6 +42,21 @@ class FactoryTest : public ::testing::Test {
     return in;
   }
 
+  /// An incremental window factory: a merge tail of a fresh one-subscriber
+  /// node that owns the basket reader (the engine's wiring, by hand).
+  Result<FactoryPtr> NodeTail(const std::shared_ptr<exec::QueryExecutor>& ex,
+                              const plan::WindowSpec& w,
+                              const std::shared_ptr<Basket>& out) {
+    node_ = std::make_shared<SharedWindowNode>("s#1", basket_, nullptr, ex,
+                                               w.rows, w.slide);
+    FactoryInput in;
+    in.is_stream = true;
+    in.basket = basket_.get();
+    in.window = w;
+    return Factory::Create(1, "f", ex, ExecMode::kIncremental, {in}, out,
+                           node_, node_->Subscribe());
+  }
+
   std::shared_ptr<Basket> OutBasket(const exec::QueryExecutor& ex) {
     Schema out;
     const auto types = exec::OutputTypes(ex.compiled());
@@ -58,7 +74,8 @@ class FactoryTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  std::unique_ptr<Basket> basket_;
+  std::shared_ptr<Basket> basket_;
+  SharedWindowNodePtr node_;
   Schema out_schema_;
 };
 
@@ -111,9 +128,8 @@ TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
   w.slide = 1;
   auto ex = MakeExecutor("SELECT sum(v), count(*) FROM s");
   auto out = OutBasket(*ex);
-  auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, out);
-  ASSERT_TRUE(f.ok());
+  auto f = NodeTail(ex, w, out);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
   for (int i = 0; i < 10; ++i) {
     Push(i, 1);
     while ((*f)->CheckReady()) ASSERT_TRUE((*f)->Fire().ok());
@@ -122,8 +138,51 @@ TEST_F(FactoryTest, IncrementalCachesFragmentsPerBasicWindow) {
   EXPECT_EQ(stats.emissions, 7u);  // windows ending at rows 4..10
   // Each row entered exactly one fragment: 10 tuples in, not 7*4.
   EXPECT_EQ(stats.tuples_in, 10u);
+  EXPECT_EQ(stats.fragments_computed, 10u);
   EXPECT_FALSE(stats.fell_back_to_full);
-  EXPECT_LE(stats.cached_partials, 4u);  // bounded by n_bw
+  // The partials live on the node, bounded by n_bw.
+  EXPECT_EQ(stats.cached_partials, 0u);
+  EXPECT_LE(node_->Stats().cached_partials, 4u);
+}
+
+TEST_F(FactoryTest, IncrementalWindowRequiresANode) {
+  plan::WindowSpec w;
+  w.rows = true;
+  w.size = 4;
+  w.slide = 1;
+  auto ex = MakeExecutor("SELECT sum(v) FROM s");
+  auto out = OutBasket(*ex);
+  EXPECT_FALSE(Factory::Create(1, "f", ex, ExecMode::kIncremental,
+                               {StreamInput(w)}, out)
+                   .ok());
+  // ...and only an incremental divisible window takes one.
+  node_ = std::make_shared<SharedWindowNode>("s#1", basket_, nullptr, ex,
+                                             w.rows, w.slide);
+  EXPECT_FALSE(Factory::Create(1, "f", ex, ExecMode::kFullReeval,
+                               {StreamInput(w)}, out, node_,
+                               node_->Subscribe())
+                   .ok());
+}
+
+TEST_F(FactoryTest, NodeTailRefusesMisanchoredRestore) {
+  plan::WindowSpec w;
+  w.rows = true;
+  w.size = 4;
+  w.slide = 2;
+  auto ex = MakeExecutor("SELECT sum(v) FROM s");
+  auto f = NodeTail(ex, w, OutBasket(*ex));
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  storage::FactoryProgress p = (*f)->SnapshotProgress();
+  ASSERT_EQ(p.origins, std::vector<uint64_t>{node_->origin_seq()});
+  p.origins[0] = node_->origin_seq() + 2;
+  const Status st = (*f)->RestoreProgress(p);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("node s#1"), std::string::npos)
+      << st.ToString();
+  // The refused restore left the tail anchored at its node.
+  EXPECT_EQ((*f)->SnapshotProgress().origins[0], node_->origin_seq());
+  p.origins[0] = node_->origin_seq();
+  EXPECT_TRUE((*f)->RestoreProgress(p).ok());
 }
 
 TEST_F(FactoryTest, IncrementalFallsBackWhenNotDivisible) {
@@ -151,9 +210,8 @@ TEST_F(FactoryTest, RangeWindowSkipsEmptyLeadingWindows) {
   w.slide = 2 * kMicrosPerSecond;
   auto ex = MakeExecutor("SELECT count(*) FROM s");
   auto out = OutBasket(*ex);
-  auto f = Factory::Create(1, "f", ex, ExecMode::kIncremental,
-                           {StreamInput(w)}, out);
-  ASSERT_TRUE(f.ok());
+  auto f = NodeTail(ex, w, out);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
   // Stream starts late: first event at t=100 s.
   Push(100, 1);
   Push(101, 2);

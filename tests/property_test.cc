@@ -2,7 +2,8 @@
 //
 // P1 — the paper's central invariant: FULL re-evaluation and INCREMENTAL
 //      processing produce identical emissions, swept over query shapes ×
-//      window kinds × (size, slide) combinations × data seeds.
+//      window kinds × (size, slide) combinations × data seeds — and, for
+//      the stream⋈table join, while the table changes under the window.
 // P2 — candidate-list algebra obeys set semantics against a reference
 //      std::set implementation, over random universes.
 // P3 — aggregate partial states: any partition of the input merges to the
@@ -51,10 +52,17 @@ std::string CaseSql(const ModeCase& c) {
   return sql;
 }
 
-class FullVsIncremental : public ::testing::TestWithParam<ModeCase> {};
+/// Runs `c` in both modes side by side over one seeded feed and returns
+/// each mode's emissions. With `dim_insert_every` > 0, a row is INSERTed
+/// into the joined `dim` table after every that many stream rows — new
+/// keys and duplicates of old ones, so the join result really changes.
+struct ModeRun {
+  std::vector<ColumnSet> full;
+  std::vector<ColumnSet> inc;
+  FactoryStats inc_stats;
+};
 
-TEST_P(FullVsIncremental, EmissionsIdentical) {
-  const ModeCase& c = GetParam();
+void RunBothModes(const ModeCase& c, int dim_insert_every, ModeRun* out) {
   Engine engine(testutil::SyncOptions());
   ASSERT_TRUE(
       engine.Execute("CREATE STREAM s (ts timestamp, g int, v int, w double)")
@@ -86,17 +94,33 @@ TEST_P(FullVsIncremental, EmissionsIdentical) {
                                    Value::I64(rng.UniformInt(-50, 50)),
                                    Value::F64(rng.UniformDouble(0, 10))})
                     .ok());
+    if (dim_insert_every > 0 && i % dim_insert_every == dim_insert_every - 1) {
+      ASSERT_TRUE(engine
+                      .Execute(StrFormat("INSERT INTO dim VALUES (%d, 'n%d')",
+                                         (i / dim_insert_every) % 6, i))
+                      .ok());
+    }
     engine.Pump();
   }
   ASSERT_TRUE(engine.SealStream("s").ok());
   engine.Pump();
 
+  out->inc_stats = engine.GetFactory(*inc)->Stats();
   auto full_results = engine.TakeResults(*full);
   auto inc_results = engine.TakeResults(*inc);
   ASSERT_TRUE(full_results.ok() && inc_results.ok());
-  ASSERT_GT(full_results->size(), 0u) << sql;
-  EXPECT_EQ(EmissionStrings(*full_results), EmissionStrings(*inc_results))
-      << sql;
+  out->full = *std::move(full_results);
+  out->inc = *std::move(inc_results);
+}
+
+class FullVsIncremental : public ::testing::TestWithParam<ModeCase> {};
+
+TEST_P(FullVsIncremental, EmissionsIdentical) {
+  const ModeCase& c = GetParam();
+  ModeRun run;
+  ASSERT_NO_FATAL_FAILURE(RunBothModes(c, 0, &run));
+  ASSERT_GT(run.full.size(), 0u) << CaseSql(c);
+  EXPECT_EQ(EmissionStrings(run.full), EmissionStrings(run.inc)) << CaseSql(c);
 }
 
 constexpr const char* kScalarAgg =
@@ -137,6 +161,47 @@ std::vector<ModeCase> MakeCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FullVsIncremental,
                          ::testing::ValuesIn(MakeCases()));
+
+// The stream⋈table join while `dim` gets INSERTs: full re-evaluation joins
+// each window with the table as of its fire, and incremental partials
+// built against an older table version must be rebuilt to match.
+class FullVsIncrementalTableChurn
+    : public ::testing::TestWithParam<ModeCase> {};
+
+TEST_P(FullVsIncrementalTableChurn, EmissionsIdentical) {
+  const ModeCase& c = GetParam();
+  ModeRun churn, calm;
+  ASSERT_NO_FATAL_FAILURE(RunBothModes(c, 25, &churn));
+  ASSERT_GT(churn.full.size(), 0u) << CaseSql(c);
+  EXPECT_EQ(EmissionStrings(churn.full), EmissionStrings(churn.inc))
+      << CaseSql(c);
+  // The same feed with a static table: the INSERTs changed the output,
+  // and (when a window spans several basic windows, so partials outlive
+  // a table change) forced stale partials to be rebuilt.
+  ASSERT_NO_FATAL_FAILURE(RunBothModes(c, 0, &calm));
+  EXPECT_NE(EmissionStrings(churn.inc), EmissionStrings(calm.inc))
+      << CaseSql(c);
+  if (c.size > c.slide) {
+    EXPECT_GT(churn.inc_stats.fragments_computed,
+              calm.inc_stats.fragments_computed)
+        << CaseSql(c);
+  } else {
+    EXPECT_EQ(churn.inc_stats.fragments_computed,
+              calm.inc_stats.fragments_computed)
+        << CaseSql(c);
+  }
+}
+
+std::vector<ModeCase> JoinTableCases() {
+  std::vector<ModeCase> cases;
+  for (const ModeCase& c : MakeCases()) {
+    if (c.select == kJoinTable) cases.push_back(c);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FullVsIncrementalTableChurn,
+                         ::testing::ValuesIn(JoinTableCases()));
 
 // --- P1b: stream-stream join equivalence (separate: needs two streams) ----
 
