@@ -87,18 +87,55 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_GroupBy(benchmark::State& state) {
+void BM_GroupTableBuild(benchmark::State& state) {
   const uint64_t n = 1 << 19;
   const int64_t cardinality = state.range(0);
   auto keys = RandomI64(n, 0, cardinality - 1, 7);
   for (auto _ : state) {
-    auto groups = ops::GroupBy({keys.get()});
-    benchmark::DoNotOptimize(groups->num_groups);
+    ops::GroupTable groups({TypeId::kI64}, {});
+    benchmark::DoNotOptimize(groups.AddRows({keys.get()}, {}).ok());
+    benchmark::DoNotOptimize(groups.num_groups());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_GroupBy)->Arg(16)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_GroupTableBuild)->Arg(16)->Arg(1024)->Arg(65536);
+
+// The per-emission merge of an incremental GROUP BY, in the shape of
+// netmon's src_heavy: 5 basic-window partials of 12.5 k rows over 5 000
+// Zipf source hosts, each with count(*) and sum(bytes), merged in order
+// and finalized.
+void BM_GroupTableMerge(benchmark::State& state) {
+  constexpr int kPartials = 5;
+  constexpr uint64_t kRows = 12500;
+  const std::vector<std::pair<ops::AggKind, TypeId>> aggs{
+      {ops::AggKind::kCount, TypeId::kI64},
+      {ops::AggKind::kSum, TypeId::kI64}};
+  ZipfGenerator zipf(5000, 0.99, 10);
+  std::vector<ops::GroupTable> partials;
+  for (int p = 0; p < kPartials; ++p) {
+    std::vector<int64_t> src(kRows);
+    for (int64_t& x : src) x = static_cast<int64_t>(zipf.Next());
+    auto keys = Bat::MakeI64(std::move(src));
+    auto bytes = RandomI64(kRows, 40, 1500, 11 + p);
+    partials.emplace_back(std::vector<TypeId>{TypeId::kI64}, aggs);
+    if (!partials.back().AddRows({keys.get()}, {nullptr, bytes.get()}).ok()) {
+      state.SkipWithError("partial build failed");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    ops::GroupTable merged({TypeId::kI64}, aggs);
+    for (const ops::GroupTable& p : partials) {
+      benchmark::DoNotOptimize(merged.Merge(p).ok());
+    }
+    auto cols = merged.Finalize();
+    benchmark::DoNotOptimize(cols->size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kPartials * static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_GroupTableMerge)->Unit(benchmark::kMicrosecond);
 
 void BM_ScalarAggregate(benchmark::State& state) {
   const uint64_t n = 1 << 20;

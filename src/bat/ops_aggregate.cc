@@ -97,12 +97,18 @@ void AggState::AddCell(const Bat& col, Oid o, bool with_minmax) {
         max = Value::F64(x);
         has_minmax = true;
       } else {
+        // Add()'s Value::Compare order: a NaN is never a new minimum,
+        // and anything follows a NaN maximum.
         if (x < min.AsF64()) min = Value::F64(x);
-        if (x > max.AsF64()) max = Value::F64(x);
+        if (!(x <= max.AsF64())) max = Value::F64(x);
       }
       return;
     }
     default:
+      if (!with_minmax) {  // STR/BOOL feed only the count
+        ++count;
+        return;
+      }
       Add(col.GetValue(o));
       return;
   }

@@ -38,10 +38,11 @@ struct AggState {
 
   /// Folds one value in.
   void Add(const Value& v);
-  /// Folds one cell of `col` in (typed hot path: no Value is materialized
-  /// for numeric columns unless a new extremum is recorded). Callers whose
-  /// aggregate never reads the extrema pass `with_minmax = false` to skip
-  /// the tracking entirely (the delta pre-agg per-row fold).
+  /// Folds one cell of `col` in: the typed form of Add(col.GetValue(o)),
+  /// which materializes no Value for numeric columns unless a new extremum
+  /// is recorded. Callers whose aggregate never reads the extrema pass
+  /// `with_minmax = false` to skip the tracking entirely (GroupTable does
+  /// for every aggregate but MIN/MAX).
   void AddCell(const Bat& col, Oid o, bool with_minmax = true);
   /// Folds a whole column subset in (bulk path).
   void AddColumn(const Bat& col, const Candidates* cand);

@@ -1,242 +1,298 @@
 #include "bat/ops_group.h"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "bat/hash.h"
-#include "util/string_util.h"
 
 namespace dc::ops {
 
 namespace {
 
-uint64_t HashCell(const Bat& col, Oid o) {
+/// Start of the per-row HashCombine chain over the key cells.
+constexpr uint64_t kHashSeed = 0x9ae16a3b2f90404fULL;
+constexpr size_t kMinSlots = 16;
+
+/// Folds column `col` into the running row hashes `hs`.
+void HashColumn(const Bat& col, std::vector<uint64_t>* hs) {
+  uint64_t* h = hs->data();
+  const uint64_t n = col.size();
   switch (col.type()) {
-    case TypeId::kBool:
-      return HashU64(col.BoolData()[o]);
+    case TypeId::kBool: {
+      const auto d = col.BoolData();
+      for (uint64_t r = 0; r < n; ++r) h[r] = HashCombine(h[r], HashU64(d[r]));
+      return;
+    }
     case TypeId::kI64:
-    case TypeId::kTs:
-      return HashI64(col.I64Data()[o]);
-    case TypeId::kF64:
-      return HashDouble(col.F64Data()[o]);
+    case TypeId::kTs: {
+      const auto d = col.I64Data();
+      for (uint64_t r = 0; r < n; ++r) h[r] = HashCombine(h[r], HashI64(d[r]));
+      return;
+    }
+    case TypeId::kF64: {
+      const auto d = col.F64Data();
+      for (uint64_t r = 0; r < n; ++r) {
+        h[r] = HashCombine(h[r], HashDouble(d[r]));
+      }
+      return;
+    }
     case TypeId::kStr:
-      return HashBytes(col.StrAt(o));
+      for (uint64_t r = 0; r < n; ++r) {
+        h[r] = HashCombine(h[r], HashBytes(col.StrAt(r)));
+      }
+      return;
   }
-  return 0;
 }
 
-bool CellsEqual(const Bat& col, Oid a, Oid b) {
-  switch (col.type()) {
+/// Cell equality of a[i] and b[j] (same type): NaN != NaN, -0.0 == 0.0.
+bool CellsEqual(const Bat& a, uint64_t i, const Bat& b, uint64_t j) {
+  switch (a.type()) {
     case TypeId::kBool:
-      return col.BoolData()[a] == col.BoolData()[b];
+      return a.BoolData()[i] == b.BoolData()[j];
     case TypeId::kI64:
     case TypeId::kTs:
-      return col.I64Data()[a] == col.I64Data()[b];
+      return a.I64Data()[i] == b.I64Data()[j];
     case TypeId::kF64:
-      return col.F64Data()[a] == col.F64Data()[b];
+      return a.F64Data()[i] == b.F64Data()[j];
     case TypeId::kStr:
-      return col.StrAt(a) == col.StrAt(b);
+      return a.StrAt(i) == b.StrAt(j);
   }
   return false;
 }
 
+/// True when group `g` of `mine` has the key tuple of row `r` of `theirs`.
+bool RowEq(const std::vector<BatPtr>& mine, uint64_t g,
+           const std::vector<const Bat*>& theirs, uint64_t r) {
+  for (size_t k = 0; k < mine.size(); ++k) {
+    if (!CellsEqual(*mine[k], g, *theirs[k], r)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-Result<GroupResult> GroupBy(const std::vector<const Bat*>& keys,
-                            const Candidates* cand) {
-  if (keys.empty()) {
-    return Status::InvalidArgument("GroupBy requires at least one key");
-  }
-  const uint64_t n = keys[0]->size();
-  for (const Bat* k : keys) {
-    if (k->size() != n) {
-      return Status::InvalidArgument("GroupBy: key column size mismatch");
-    }
-  }
-  GroupResult out;
-  out.group_ids.reserve(cand ? cand->size() : n);
-  // hash -> list of group ids with that hash (collision chain).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-
-  auto row_hash = [&](Oid o) {
-    uint64_t h = 0x9ae16a3b2f90404fULL;
-    for (const Bat* k : keys) h = HashCombine(h, HashCell(*k, o));
-    return h;
-  };
-  auto rows_equal = [&](Oid a, Oid b) {
-    for (const Bat* k : keys) {
-      if (!CellsEqual(*k, a, b)) return false;
-    }
-    return true;
-  };
-  auto visit = [&](Oid o) {
-    const uint64_t h = row_hash(o);
-    auto& chain = index[h];
-    for (uint32_t gid : chain) {
-      if (rows_equal(o, out.representatives[gid])) {
-        out.group_ids.push_back(gid);
-        return;
-      }
-    }
-    const uint32_t gid = out.num_groups++;
-    chain.push_back(gid);
-    out.representatives.push_back(o);
-    out.group_ids.push_back(gid);
-  };
-  if (cand) {
-    cand->ForEach(visit);
-  } else {
-    for (Oid o = 0; o < n; ++o) visit(o);
-  }
-  return out;
+GroupTable::GroupTable(std::vector<TypeId> key_types,
+                       std::vector<std::pair<AggKind, TypeId>> aggs) {
+  Reset(std::move(key_types), std::move(aggs));
 }
 
-Result<BatPtr> GroupedAgg(AggKind kind, const Bat* values,
-                          const Candidates* values_cand,
-                          const GroupResult& groups) {
-  const TypeId vt = values ? values->type() : TypeId::kI64;
-  DC_ASSIGN_OR_RETURN(TypeId out_type, AggResultType(kind, vt));
-  std::vector<AggState> states(groups.num_groups);
+void GroupTable::Reset(std::vector<TypeId> key_types,
+                       std::vector<std::pair<AggKind, TypeId>> aggs) {
+  key_types_ = std::move(key_types);
+  aggs_ = std::move(aggs);
+  minmax_.clear();
+  for (const auto& [kind, type] : aggs_) {
+    minmax_.push_back(kind == AggKind::kMin || kind == AggKind::kMax);
+  }
+  keys_.clear();
+  for (TypeId t : key_types_) keys_.push_back(Bat::MakeEmpty(t));
+  counts_.clear();
+  hashes_.clear();
+  states_.clear();
+  if (slots_.empty()) {
+    slots_.assign(kMinSlots, kEmpty);
+  } else {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+  }
+}
 
-  uint64_t i = 0;
-  auto visit = [&](Oid o) {
-    AggState& st = states[groups.group_ids[i++]];
-    if (values) {
-      st.Add(values->GetValue(o));
+template <typename Eq>
+size_t GroupTable::Probe(uint64_t h, const Eq& eq) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = h & mask;
+  while (slots_[i] != kEmpty && !eq(slots_[i])) i = (i + 1) & mask;
+  return i;
+}
+
+uint32_t GroupTable::AddGroup(size_t slot, uint64_t h) {
+  const auto g = static_cast<uint32_t>(counts_.size());
+  counts_.push_back(0);
+  hashes_.push_back(h);
+  states_.resize(states_.size() + aggs_.size());
+  slots_[slot] = g;
+  if (counts_.size() * 2 > slots_.size()) Rehash(slots_.size() * 2);
+  return g;
+}
+
+void GroupTable::Rehash(size_t min_slots) {
+  size_t cap = kMinSlots;
+  while (cap < min_slots) cap <<= 1;
+  slots_.assign(cap, kEmpty);
+  const size_t mask = cap - 1;
+  for (uint32_t g = 0; g < hashes_.size(); ++g) {
+    size_t i = hashes_[g] & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = g;
+  }
+}
+
+template <typename T>
+void GroupTable::AssignTyped(std::span<const T> data,
+                             std::vector<uint32_t>* gids) {
+  Bat& key = *keys_[0];
+  for (uint64_t r = 0; r < data.size(); ++r) {
+    const T x = data[r];
+    uint64_t h;
+    const T* kd;  // re-read per row: appending a group may move it
+    if constexpr (std::is_same_v<T, double>) {
+      h = HashCombine(kHashSeed, HashDouble(x));
+      kd = key.F64Data().data();
     } else {
-      ++st.count;
+      h = HashCombine(kHashSeed, HashI64(x));
+      kd = key.I64Data().data();
     }
-  };
-  if (values_cand) {
-    values_cand->ForEach(visit);
-  } else {
-    const uint64_t n = groups.group_ids.size();
-    for (Oid o = 0; o < n; ++o) visit(o);
+    const size_t s = Probe(h, [&](uint32_t g) { return kd[g] == x; });
+    uint32_t g = slots_[s];
+    if (g == kEmpty) {
+      if constexpr (std::is_same_v<T, double>) {
+        key.AppendF64(x);
+      } else {
+        key.AppendI64(x);
+      }
+      g = AddGroup(s, h);
+    }
+    (*gids)[r] = g;
   }
-
-  auto out = std::make_shared<Bat>(out_type);
-  out->Reserve(groups.num_groups);
-  for (const AggState& st : states) {
-    out->AppendValue(st.Finalize(kind, vt));
-  }
-  return out;
 }
 
-GroupedAggMerger::GroupedAggMerger(
-    std::vector<TypeId> key_types,
-    std::vector<std::pair<AggKind, TypeId>> aggs)
-    : key_types_(std::move(key_types)), aggs_(std::move(aggs)) {}
-
-uint64_t GroupedAggMerger::HashKey(const std::vector<Value>& key) const {
-  uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (const Value& v : key) {
-    switch (v.type()) {
-      case TypeId::kBool:
-        h = HashCombine(h, HashU64(v.AsBool() ? 1 : 0));
-        break;
-      case TypeId::kI64:
-      case TypeId::kTs:
-        h = HashCombine(h, HashI64(v.AsI64()));
-        break;
-      case TypeId::kF64:
-        h = HashCombine(h, HashDouble(v.AsF64()));
-        break;
-      case TypeId::kStr:
-        h = HashCombine(h, HashBytes(v.AsStr()));
-        break;
+void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
+                               std::vector<uint32_t>* gids) {
+  const uint64_t n = keys[0]->size();
+  std::vector<uint64_t> hs(n, kHashSeed);
+  for (const Bat* k : keys) HashColumn(*k, &hs);
+  for (uint64_t r = 0; r < n; ++r) {
+    const uint64_t h = hs[r];
+    const size_t s = Probe(h, [&](uint32_t g) {
+      return hashes_[g] == h && RowEq(keys_, g, keys, r);
+    });
+    uint32_t g = slots_[s];
+    if (g == kEmpty) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        keys_[k]->AppendRange(*keys[k], r, r + 1);
+      }
+      g = AddGroup(s, h);
     }
+    (*gids)[r] = g;
   }
-  return h;
 }
 
-Status GroupedAggMerger::AddPartial(const std::vector<const Bat*>& keys,
-                                    const std::vector<const Bat*>& values) {
+Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
+                           const std::vector<const Bat*>& values) {
+  if (key_types_.empty()) {
+    return Status::InvalidArgument("GroupTable: no key columns");
+  }
   if (keys.size() != key_types_.size()) {
-    return Status::InvalidArgument("AddPartial: key column count mismatch");
+    return Status::InvalidArgument("GroupTable: key column count mismatch");
   }
   if (values.size() != aggs_.size()) {
-    return Status::InvalidArgument("AddPartial: value column count mismatch");
+    return Status::InvalidArgument("GroupTable: value column count mismatch");
   }
-  const uint64_t n = keys.empty() ? 0 : keys[0]->size();
-  for (uint64_t i = 0; i < n; ++i) {
-    std::vector<Value> key;
-    key.reserve(keys.size());
-    for (const Bat* k : keys) key.push_back(k->GetValue(i));
-    const uint64_t h = HashKey(key);
-    auto& chain = index_[h];
-    uint32_t gid = UINT32_MAX;
-    for (uint32_t g : chain) {
-      if (group_keys_[g].key == key) {
-        gid = g;
-        break;
-      }
+  const uint64_t n = keys[0]->size();
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (keys[k]->type() != key_types_[k] || keys[k]->size() != n) {
+      return Status::InvalidArgument("GroupTable: key column mismatch");
     }
-    if (gid == UINT32_MAX) {
-      gid = static_cast<uint32_t>(group_keys_.size());
-      chain.push_back(gid);
-      GroupEntry entry;
-      entry.key = std::move(key);
-      entry.states.resize(aggs_.size());
-      group_keys_.push_back(std::move(entry));
-    }
-    GroupEntry& entry = group_keys_[gid];
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (values[a] != nullptr) {
-        entry.states[a].Add(values[a]->GetValue(i));
-      } else {
-        ++entry.states[a].count;
-      }
+    if (keys[k]->has_nulls()) {
+      return Status::Internal("GroupTable: NULL in a group key column");
     }
   }
-  return Status::OK();
-}
+  for (const Bat* v : values) {
+    if (v != nullptr && v->size() != n) {
+      return Status::InvalidArgument("GroupTable: value column size mismatch");
+    }
+  }
+  if (n == 0) return Status::OK();
 
-Status GroupedAggMerger::MergeFrom(const GroupedAggMerger& other) {
-  if (other.key_types_ != key_types_ || other.aggs_ != aggs_) {
-    return Status::InvalidArgument("MergeFrom: incompatible merger layout");
+  std::vector<uint32_t> gids(n);
+  if (keys.size() == 1 && StoredAsI64(key_types_[0])) {
+    AssignTyped(keys[0]->I64Data(), &gids);
+  } else if (keys.size() == 1 && key_types_[0] == TypeId::kF64) {
+    AssignTyped(keys[0]->F64Data(), &gids);
+  } else {
+    AssignGeneric(keys, &gids);
   }
-  for (const GroupEntry& oe : other.group_keys_) {
-    const uint64_t h = HashKey(oe.key);
-    auto& chain = index_[h];
-    uint32_t gid = UINT32_MAX;
-    for (uint32_t g : chain) {
-      if (group_keys_[g].key == oe.key) {
-        gid = g;
-        break;
-      }
-    }
-    if (gid == UINT32_MAX) {
-      gid = static_cast<uint32_t>(group_keys_.size());
-      chain.push_back(gid);
-      group_keys_.push_back(oe);
+
+  for (uint64_t r = 0; r < n; ++r) ++counts_[gids[r]];
+  const size_t nagg = aggs_.size();
+  for (size_t a = 0; a < nagg; ++a) {
+    AggState* st = states_.data() + a;
+    const Bat* v = values[a];
+    if (v == nullptr) {  // COUNT(*)
+      for (uint64_t r = 0; r < n; ++r) ++st[gids[r] * nagg].count;
       continue;
     }
-    GroupEntry& entry = group_keys_[gid];
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      entry.states[a].Merge(oe.states[a]);
-    }
+    const bool minmax = minmax_[a] != 0;
+    for (uint64_t r = 0; r < n; ++r) st[gids[r] * nagg].AddCell(*v, r, minmax);
   }
   return Status::OK();
 }
 
-Result<std::vector<BatPtr>> GroupedAggMerger::Finalize() const {
+Status GroupTable::Merge(const GroupTable& other) {
+  if (other.num_groups() == 0) return Status::OK();
+  if (other.key_types_ != key_types_ || other.aggs_ != aggs_) {
+    return Status::InvalidArgument("GroupTable::Merge: incompatible layout");
+  }
+  if (num_groups() == 0) {
+    // Every group of `other` is new here, in its order: adopt them whole.
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      keys_[k] = other.keys_[k]->Slice(0, other.num_groups());
+    }
+    counts_ = other.counts_;
+    hashes_ = other.hashes_;
+    states_ = other.states_;
+    Rehash(2 * num_groups());
+    return Status::OK();
+  }
+  std::vector<const Bat*> theirs;
+  for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
+  const size_t nagg = aggs_.size();
+  for (uint64_t og = 0; og < other.num_groups(); ++og) {
+    const uint64_t h = other.hashes_[og];
+    const size_t s = Probe(h, [&](uint32_t g) {
+      return hashes_[g] == h && RowEq(keys_, g, theirs, og);
+    });
+    uint32_t g = slots_[s];
+    const AggState* src = other.group_states(og);
+    if (g == kEmpty) {
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        keys_[k]->AppendRange(*theirs[k], og, og + 1);
+      }
+      g = AddGroup(s, h);
+      counts_[g] = other.counts_[og];
+      std::copy(src, src + nagg, states_.begin() + g * nagg);
+      continue;
+    }
+    counts_[g] += other.counts_[og];
+    for (size_t a = 0; a < nagg; ++a) states_[g * nagg + a].Merge(src[a]);
+  }
+  return Status::OK();
+}
+
+Result<std::vector<BatPtr>> GroupTable::Finalize() const {
+  const uint64_t n = num_groups();
   std::vector<BatPtr> out;
-  for (TypeId t : key_types_) {
-    out.push_back(Bat::MakeEmpty(t));
-    out.back()->Reserve(group_keys_.size());
-  }
-  for (const auto& [kind, vt] : aggs_) {
-    DC_ASSIGN_OR_RETURN(TypeId ot, AggResultType(kind, vt));
-    out.push_back(Bat::MakeEmpty(ot));
-    out.back()->Reserve(group_keys_.size());
-  }
-  for (const GroupEntry& entry : group_keys_) {
-    for (size_t k = 0; k < key_types_.size(); ++k) {
-      out[k]->AppendValue(entry.key[k]);
+  for (const BatPtr& k : keys_) out.push_back(k->Slice(0, n));
+  const size_t nagg = aggs_.size();
+  for (size_t a = 0; a < nagg; ++a) {
+    const auto [kind, type] = aggs_[a];
+    DC_ASSIGN_OR_RETURN(TypeId ot, AggResultType(kind, type));
+    BatPtr col = Bat::MakeEmpty(ot);
+    col->Reserve(n);
+    for (uint64_t g = 0; g < n; ++g) {
+      col->AppendValue(states_[g * nagg + a].Finalize(kind, type));
     }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out[key_types_.size() + a]->AppendValue(
-          entry.states[a].Finalize(aggs_[a].first, aggs_[a].second));
-    }
+    out.push_back(std::move(col));
   }
   return out;
+}
+
+size_t GroupTable::MemoryBytes() const {
+  size_t total = counts_.capacity() * sizeof(uint64_t) +
+                 hashes_.capacity() * sizeof(uint64_t) +
+                 states_.capacity() * sizeof(AggState) +
+                 slots_.capacity() * sizeof(uint32_t);
+  for (const BatPtr& k : keys_) total += k->MemoryBytes();
+  return total;
 }
 
 }  // namespace dc::ops

@@ -1,87 +1,105 @@
 // Copyright 2026 The DataCell Authors.
 //
-// Multi-key grouping and grouped aggregation. GroupBy assigns a dense group
-// id to every input row; grouped aggregates then fold value columns per
-// group. Group descriptors are mergeable across basic windows via
-// GroupedAggMerger (the incremental GROUP BY path).
+// Grouped aggregation: GroupTable, the one grouping kernel. One-time
+// GROUP BY, FULL re-evaluation, the per-basic-window partials of the
+// incremental path, their per-emission merge and the delta-join
+// pre-aggregation all run on it.
 
 #ifndef DATACELL_BAT_OPS_GROUP_H_
 #define DATACELL_BAT_OPS_GROUP_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bat/bat.h"
-#include "bat/candidates.h"
 #include "bat/ops_aggregate.h"
 #include "util/result.h"
 
 namespace dc::ops {
 
-/// Output of GroupBy over `n` candidate rows.
-struct GroupResult {
-  /// group_ids[i] = dense group id of the i-th candidate row.
-  std::vector<uint32_t> group_ids;
-  /// representatives[g] = oid of the first row of group g (for fetching
-  /// key values).
-  std::vector<Oid> representatives;
-  uint32_t num_groups = 0;
-};
-
-/// Groups the candidate rows of the key columns (all equal size).
-Result<GroupResult> GroupBy(const std::vector<const Bat*>& keys,
-                            const Candidates* cand = nullptr);
-
-/// Grouped aggregate: folds `values` (ordered like GroupBy's candidate
-/// iteration; i.e. values[i] belongs to group group_ids[i]) into one output
-/// row per group. For COUNT, `values` may be null.
-/// `values_cand` must be the same candidate list passed to GroupBy.
-Result<BatPtr> GroupedAgg(AggKind kind, const Bat* values,
-                          const Candidates* values_cand,
-                          const GroupResult& groups);
-
-/// Incremental grouped aggregation: accumulates (key-row, AggState) partial
-/// tables per basic window and merges them per emission.
+/// Columnar hash table of groups with one flat AggState per (group,
+/// aggregate). It keeps the distinct key tuples as key BATs in
+/// first-appearance order, a row count per group, the states with stride
+/// num_aggs(), and each group's hash (stored at creation, so a const table
+/// can be merged from concurrently). Groups are found through an
+/// open-addressing slot array probed with the HashCombine chain over the
+/// key cells; one fixed-width key (i64/ts/f64) takes a typed probe.
 ///
-/// Usage: for each basic window, AddPartial(keys of that window's rows,
-/// values, ...); at emission, Finalize() produces key columns + one value
-/// column per registered aggregate.
-class GroupedAggMerger {
+/// Key equality is cell equality: each NaN key is its own group, and -0.0
+/// and 0.0 share one. Folds run rows in order, then merged tables in
+/// order, so float sums are reproducible. MIN/MAX extrema are tracked only
+/// for MIN/MAX aggregates.
+class GroupTable {
  public:
-  /// `key_types`: types of the group-by key columns.
-  /// `aggs`: (kind, value column type) per output aggregate.
-  GroupedAggMerger(std::vector<TypeId> key_types,
-                   std::vector<std::pair<AggKind, TypeId>> aggs);
+  GroupTable() = default;
+  /// `key_types`: types of the group-by key columns (at least one).
+  /// `aggs`: (kind, argument type) per aggregate.
+  GroupTable(std::vector<TypeId> key_types,
+             std::vector<std::pair<AggKind, TypeId>> aggs);
 
-  /// Folds one basic window's rows: `keys[k]` is the k-th key column,
-  /// `values[a]` the a-th aggregate's value column (null for COUNT).
-  /// All columns are pre-sliced to the basic window (no candidates).
-  Status AddPartial(const std::vector<const Bat*>& keys,
-                    const std::vector<const Bat*>& values);
+  /// Drops all groups and switches to a new layout; the slot array keeps
+  /// its capacity, so a reused table does not reallocate it.
+  void Reset(std::vector<TypeId> key_types,
+             std::vector<std::pair<AggKind, TypeId>> aggs);
 
-  /// Merges another merger built with identical key/agg layout.
-  Status MergeFrom(const GroupedAggMerger& other);
+  /// Folds rows [0, n): `keys[k]` is the k-th key column and `values[a]`
+  /// the a-th aggregate's argument column (null for COUNT(*)). A key
+  /// column with a null bitmap is refused with Status::Internal: NULLs
+  /// never reach grouping (streams refuse them at ingest).
+  Status AddRows(const std::vector<const Bat*>& keys,
+                 const std::vector<const Bat*>& values);
 
-  /// Emits key columns followed by one column per aggregate, one row per
-  /// distinct key. Group order is first-appearance order.
+  /// Folds `other` (same layout) in: its groups in their order, states
+  /// merged with AggState::Merge. Never mutates `other`.
+  Status Merge(const GroupTable& other);
+
+  /// Key columns followed by one finalized column per aggregate, one row
+  /// per group in first-appearance order.
   Result<std::vector<BatPtr>> Finalize() const;
 
-  size_t num_groups() const { return group_keys_.size(); }
+  uint64_t num_groups() const { return counts_.size(); }
+  size_t num_aggs() const { return aggs_.size(); }
+  /// The k-th key column: row g is group g's key cell.
+  const Bat& key(size_t k) const { return *keys_[k]; }
+  /// Rows folded into each group.
+  const std::vector<uint64_t>& counts() const { return counts_; }
+  /// Group g's num_aggs() states.
+  const AggState* group_states(uint64_t g) const {
+    return states_.data() + g * aggs_.size();
+  }
+  const std::vector<AggState>& states() const { return states_; }
+
+  /// Bytes held: key BATs, counts, hashes, states and the slot array.
+  size_t MemoryBytes() const;
 
  private:
-  struct GroupEntry {
-    std::vector<Value> key;
-    std::vector<AggState> states;
-  };
+  static constexpr uint32_t kEmpty = UINT32_MAX;
 
-  uint64_t HashKey(const std::vector<Value>& key) const;
+  /// Slot of the group with hash `h` for which `eq(gid)` holds, or the
+  /// empty slot where such a group belongs.
+  template <typename Eq>
+  size_t Probe(uint64_t h, const Eq& eq) const;
+  /// Appends a group with hash `h` (keys appended by the caller) into
+  /// empty slot `slot`; grows the slot array past half load.
+  uint32_t AddGroup(size_t slot, uint64_t h);
+  /// Rebuilds the slot array with at least `min_slots` slots.
+  void Rehash(size_t min_slots);
+  /// Row-at-a-time grouping for several keys or a bool/str key.
+  void AssignGeneric(const std::vector<const Bat*>& keys,
+                     std::vector<uint32_t>* gids);
+  template <typename T>
+  void AssignTyped(std::span<const T> data, std::vector<uint32_t>* gids);
 
   std::vector<TypeId> key_types_;
   std::vector<std::pair<AggKind, TypeId>> aggs_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index_;  // hash->ids
-  std::vector<GroupEntry> group_keys_;
+  std::vector<char> minmax_;  ///< per aggregate: tracks extrema
+  std::vector<BatPtr> keys_;
+  std::vector<uint64_t> counts_;
+  std::vector<uint64_t> hashes_;
+  std::vector<AggState> states_;
+  std::vector<uint32_t> slots_;  ///< group id per slot, or kEmpty
 };
 
 }  // namespace dc::ops

@@ -14,9 +14,11 @@
 // NULL support is deliberately narrow: a Value can be NULL (typed, no
 // payload) and a Bat carries a lazy null bitmap, which is exactly what the
 // SQL empty-window convention needs (scalar SUM/MIN/MAX/AVG over zero rows
-// are NULL). NULLs do not participate in selections, joins or arithmetic —
-// they are produced at aggregate finalization and flow to the emitted
-// result columns (docs/INCREMENTAL.md "Known divergences").
+// are NULL). NULLs do not participate in selections, joins, grouping or
+// arithmetic — they are produced at aggregate finalization and flow to the
+// emitted result columns (docs/INCREMENTAL.md "Known divergences"). Streams
+// refuse NULL cells at ingest (Basket::RefuseNulls), so none reaches a
+// query's input.
 
 #ifndef DATACELL_BAT_TYPES_H_
 #define DATACELL_BAT_TYPES_H_

@@ -59,6 +59,30 @@ Status Basket::ValidateBatch(const std::vector<BatPtr>& cols,
   return Status::OK();
 }
 
+Status Basket::NullCellError(size_t col) const {
+  return Status::InvalidArgument(StrFormat(
+      "stream %s column %s: NULL cell refused (streams carry no NULLs)",
+      name_.c_str(),
+      col < schema_.NumColumns() ? schema_.column(col).name.c_str() : "?"));
+}
+
+Status Basket::RefuseNulls(const std::vector<BatPtr>& cols) const {
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (!cols[c]->has_nulls()) continue;
+    for (uint64_t i = 0; i < cols[c]->size(); ++i) {
+      if (cols[c]->IsNull(i)) return NullCellError(c);
+    }
+  }
+  return Status::OK();
+}
+
+Status Basket::RefuseNulls(const std::vector<Value>& row) const {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (row[c].is_null()) return NullCellError(c);
+  }
+  return Status::OK();
+}
+
 size_t Basket::MemoryBytesLocked() const {
   size_t total = 0;
   for (const BatPtr& c : cols_) total += c->MemoryBytes();

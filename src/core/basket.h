@@ -152,6 +152,13 @@ class Basket {
   Status AppendRow(const std::vector<Value>& row,
                    Micros timeout_micros = kBlockForever);
 
+  /// InvalidArgument naming the stream and column when a batch (or row)
+  /// holds a NULL cell. Streams refuse NULLs at ingest: NULLs arise only
+  /// at aggregate finalization (bat/types.h), so the engine's pushes and
+  /// receptors check before appending; output baskets carry NULLs.
+  Status RefuseNulls(const std::vector<BatPtr>& cols) const;
+  Status RefuseNulls(const std::vector<Value>& row) const;
+
   /// Advances the event watermark without data (stream keep-alive). Never
   /// blocked by capacity.
   void Heartbeat(Micros event_ts);
@@ -285,6 +292,7 @@ class Basket {
       DC_REQUIRES(mu_);
   Status ValidateBatch(const std::vector<BatPtr>& cols, uint64_t* n) const
       DC_REQUIRES(mu_);
+  Status NullCellError(size_t col) const;
   /// Blocks until the basket can admit `n` more rows; see Append.
   Status WaitForSpaceLocked(uint64_t n, Micros timeout_micros)
       DC_REQUIRES(mu_);

@@ -754,6 +754,7 @@ Status Engine::PushRow(std::string_view stream,
                                       static_cast<int>(stream.size()),
                                       stream.data()));
   }
+  DC_RETURN_NOT_OK(basket->RefuseNulls(row));
   return basket->AppendRow(row, PushTimeout());
 }
 
@@ -761,6 +762,7 @@ Status Engine::PushColumns(std::string_view stream,
                            const std::vector<BatPtr>& cols) {
   Basket* basket = GetBasket(stream);
   if (basket == nullptr) return Status::NotFound("no such stream");
+  DC_RETURN_NOT_OK(basket->RefuseNulls(cols));
   return basket->Append(cols, PushTimeout());
 }
 

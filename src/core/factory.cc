@@ -154,7 +154,7 @@ Status Factory::Validate() {
   }
   if (shape_ == Shape::kDualWindow) {
     // Local-aggregate numbering for the pre-aggregated delta path: each
-    // side's DeltaGroups carries states only for the aggregates whose
+    // side's delta groups carry states only for the aggregates whose
     // argument lives on that side, in query order.
     const auto& pa = cq.delta_pre_agg;
     preagg_local_.assign(pa.agg_side.size(), -1);
@@ -687,17 +687,18 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
        ++j) {
     const bool has_l = j >= lfirst;
     const bool has_r = j >= rfirst;
-    exec::DeltaGroups gl, gr;
+    ops::GroupTable& gl = delta_new_[0];
+    ops::GroupTable& gr = delta_new_[1];
     if (has_l) {
       DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
                           PrejoinBasicWindow(stream_rels_[0], j));
-      DC_ASSIGN_OR_RETURN(gl, executor_->BuildDeltaGroups(0, pre));
+      DC_RETURN_NOT_OK(executor_->BuildDeltaGroups(0, pre, &gl));
       stats_.fragments_computed++;
     }
     if (has_r) {
       DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
                           PrejoinBasicWindow(stream_rels_[1], j));
-      DC_ASSIGN_OR_RETURN(gr, executor_->BuildDeltaGroups(1, pre));
+      DC_RETURN_NOT_OK(executor_->BuildDeltaGroups(1, pre, &gr));
       stats_.fragments_computed++;
     }
     // Pairing order folds new x new into the second probe: one side's new
@@ -712,12 +713,13 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
       if (!has_l || gl.num_groups() == 0) return Status::OK();
       std::vector<Oid> probe_out, pos_out;
       DC_RETURN_NOT_OK(delta_groups_[1].index.Probe(
-          *gl.keys, 0, gl.keys->size(), &probe_out, &pos_out));
+          gl.key(0), 0, gl.num_groups(), &probe_out, &pos_out));
       const exec::DeltaGroupTrack& t = delta_groups_[1];
       for (size_t k = 0; k < probe_out.size(); ++k) {
         const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(accumulate(j, t.bw_of[p], gl.counts[g], t.counts[p],
-                                    gl.group_states(g), t.group_states(p)));
+        DC_RETURN_NOT_OK(accumulate(j, t.bw_of[p], gl.counts()[g],
+                                    t.counts[p], gl.group_states(g),
+                                    t.group_states(p)));
       }
       return Status::OK();
     };
@@ -725,12 +727,13 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
       if (!has_r || gr.num_groups() == 0) return Status::OK();
       std::vector<Oid> probe_out, pos_out;
       DC_RETURN_NOT_OK(delta_groups_[0].index.Probe(
-          *gr.keys, 0, gr.keys->size(), &probe_out, &pos_out));
+          gr.key(0), 0, gr.num_groups(), &probe_out, &pos_out));
       const exec::DeltaGroupTrack& t = delta_groups_[0];
       for (size_t k = 0; k < probe_out.size(); ++k) {
         const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(accumulate(t.bw_of[p], j, t.counts[p], gr.counts[g],
-                                    t.group_states(p), gr.group_states(g)));
+        DC_RETURN_NOT_OK(accumulate(t.bw_of[p], j, t.counts[p],
+                                    gr.counts()[g], t.group_states(p),
+                                    gr.group_states(g)));
       }
       return Status::OK();
     };
@@ -745,11 +748,12 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
     if (nl == 1 && nr == 1) {
       if (has_l && has_r && gl.num_groups() > 0 && gr.num_groups() > 0) {
         DC_ASSIGN_OR_RETURN(ops::JoinResult nn,
-                            ops::HashJoin(*gl.keys, *gr.keys));
+                            ops::HashJoin(gl.key(0), gr.key(0)));
         for (size_t k = 0; k < nn.left.size(); ++k) {
           const uint64_t a = nn.left[k], b = nn.right[k];
-          DC_RETURN_NOT_OK(accumulate(j, j, gl.counts[a], gr.counts[b],
-                                      gl.group_states(a), gr.group_states(b)));
+          DC_RETURN_NOT_OK(accumulate(j, j, gl.counts()[a],
+                                      gr.counts()[b], gl.group_states(a),
+                                      gr.group_states(b)));
         }
       }
     } else if (nl == 1) {

@@ -294,6 +294,9 @@ class Factory {
   /// the row path uses delta_side_, the pre-aggregated path delta_groups_.
   exec::DeltaSideState delta_side_[2] DC_GUARDED_BY(mu_);
   exec::DeltaGroupTrack delta_groups_[2] DC_GUARDED_BY(mu_);
+  /// Per join side: the arriving basic window's groups (pre-agg path),
+  /// rebuilt each step; the table keeps its slot array across fires.
+  ops::GroupTable delta_new_[2] DC_GUARDED_BY(mu_);
   /// Per aggregate: its index among its side's local aggregates (parallel
   /// to delta_pre_agg.agg_side), or -1 for COUNT(*).
   std::vector<int> preagg_local_ DC_GUARDED_BY(mu_);

@@ -114,6 +114,8 @@ void Receptor::Run() {
     // park slices retry with the same stamp, so time spent parked on a
     // full basket counts toward downstream ingest→delivery latency.
     const Micros ingest_us = SteadyMicros();
+    // A batch with a NULL cell is malformed: refused like any other below.
+    const Status valid = basket_->RefuseNulls(batch);
     while (true) {
       // During a Stop() the pause gate is bypassed (matching the pre-
       // backpressure final flush): the batch gets one bounded append
@@ -123,7 +125,9 @@ void Receptor::Run() {
         continue;
       }
       const Micros slice_start = SteadyMicros();
-      const Status st = basket_->Append(batch, kParkSliceMicros, ingest_us);
+      const Status st =
+          valid.ok() ? basket_->Append(batch, kParkSliceMicros, ingest_us)
+                     : valid;
       if (st.ok()) {
         rows_.fetch_add(in_batch);
         batches_.fetch_add(1);

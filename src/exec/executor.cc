@@ -1,58 +1,15 @@
 #include "exec/executor.h"
 
-#include <algorithm>
-
-#include "bat/hash.h"
 #include "bat/ops_arith.h"
 #include "bat/ops_select.h"
 #include "bat/ops_sort.h"
 #include "bat/ops_join.h"
-#include "util/string_util.h"
 
 namespace dc::exec {
 
-namespace {
-
-/// Open-addressing find-or-insert scratch for the delta pre-agg grouping:
-/// linear probing over a power-of-two slot array, sized to ≥2x the row
-/// count so probes stay short. Reused thread-locally across fires —
-/// Prepare() only re-clears the gid array (memset-cheap) once the capacity
-/// has stabilized. NaN keys never compare equal, so each NaN lands in its
-/// own group (matching ops::GroupBy's cell equality).
-template <typename K>
-struct GroupScratch {
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  std::vector<K> keys;
-  std::vector<uint32_t> gids;
-  size_t mask = 0;
-
-  void Prepare(uint64_t n) {
-    size_t cap = 64;
-    while (cap < 2 * n) cap <<= 1;
-    if (gids.size() != cap) {
-      gids.assign(cap, kEmpty);
-      keys.resize(cap);
-    } else {
-      std::fill(gids.begin(), gids.end(), kEmpty);
-    }
-    mask = cap - 1;
-  }
-
-  /// Returns the slot for `k`; `*slot == kEmpty` means first occurrence
-  /// and the caller must store the new group id before the next call.
-  uint32_t* FindOrInsertSlot(K k, uint64_t h) {
-    size_t i = h & mask;
-    while (gids[i] != kEmpty && !(keys[i] == k)) i = (i + 1) & mask;
-    keys[i] = k;
-    return &gids[i];
-  }
-};
-
-}  // namespace
-
 size_t Partial::MemoryBytes() const {
-  size_t total = scalar_states.size() * sizeof(ops::AggState);
-  if (grouped) total += grouped->num_groups() * 64;  // rough per-group cost
+  size_t total = scalar_states.size() * sizeof(ops::AggState) +
+                 grouped.MemoryBytes();
   for (const BatPtr& c : frag_cols) total += c->MemoryBytes();
   return total;
 }
@@ -142,11 +99,11 @@ void DeltaGroupTrack::Reset(TypeId key_domain) {
   index.Reset(key_domain);
 }
 
-Status DeltaGroupTrack::AppendGroups(int64_t bw, const DeltaGroups& g) {
-  DC_RETURN_NOT_OK(index.Append(*g.keys, 0, g.keys->size()));
-  nagg = g.nagg;
-  counts.insert(counts.end(), g.counts.begin(), g.counts.end());
-  states.insert(states.end(), g.states.begin(), g.states.end());
+Status DeltaGroupTrack::AppendGroups(int64_t bw, const ops::GroupTable& g) {
+  DC_RETURN_NOT_OK(index.Append(g.key(0), 0, g.num_groups()));
+  nagg = g.num_aggs();
+  counts.insert(counts.end(), g.counts().begin(), g.counts().end());
+  states.insert(states.end(), g.states().begin(), g.states().end());
   bw_of.insert(bw_of.end(), g.num_groups(), bw);
   bws.emplace_back(bw, g.num_groups());
   return Status::OK();
@@ -260,8 +217,6 @@ Result<Partial> QueryExecutor::MakePartial(const StageOutput& frag) const {
     }
     return p;
   }
-  auto merger = std::make_shared<ops::GroupedAggMerger>(f.key_types,
-                                                        f.agg_layout);
   std::vector<const Bat*> keys;
   for (int k = 0; k < cq_.num_keys; ++k) keys.push_back(frag.cols[k].get());
   std::vector<const Bat*> values;
@@ -269,13 +224,13 @@ Result<Partial> QueryExecutor::MakePartial(const StageOutput& frag) const {
     const int slot = cq_.agg_arg_slots[i];
     values.push_back(slot < 0 ? nullptr : frag.cols[slot].get());
   }
-  DC_RETURN_NOT_OK(merger->AddPartial(keys, values));
-  p.grouped = std::move(merger);
+  p.grouped.Reset(f.key_types, f.agg_layout);
+  DC_RETURN_NOT_OK(p.grouped.AddRows(keys, values));
   return p;
 }
 
-Result<DeltaGroups> QueryExecutor::BuildDeltaGroups(
-    int side, const StageOutput& compact) const {
+Status QueryExecutor::BuildDeltaGroups(int side, const StageOutput& compact,
+                                       ops::GroupTable* groups) const {
   const auto& pa = cq_.delta_pre_agg;
   if (!pa.eligible) {
     return Status::Internal("query has no delta pre-aggregation");
@@ -284,13 +239,11 @@ Result<DeltaGroups> QueryExecutor::BuildDeltaGroups(
   if (key_slot < 0 || static_cast<size_t>(key_slot) >= compact.cols.size()) {
     return Status::Internal("delta pre-agg: bad key slot");
   }
-  const Bat& key = *compact.cols[key_slot];
+  const Bat* key = compact.cols[key_slot].get();
 
-  // This side's local aggregates (query order), their compact slots, and
-  // whether each one reads the extrema (MIN/MAX only — SUM/AVG/COUNT skip
-  // the per-row min/max tracking in the fold below).
+  // This side's local aggregates (query order) and their compact slots.
+  std::vector<std::pair<ops::AggKind, TypeId>> layout;
   std::vector<const Bat*> arg_cols;
-  std::vector<char> arg_minmax;
   for (size_t i = 0; i < pa.agg_side.size(); ++i) {
     if (pa.agg_side[i] != side) continue;
     const int slot = pa.agg_slot[i];
@@ -298,94 +251,10 @@ Result<DeltaGroups> QueryExecutor::BuildDeltaGroups(
       return Status::Internal("delta pre-agg: bad argument slot");
     }
     arg_cols.push_back(compact.cols[slot].get());
-    const ops::AggKind k = cq_.bound.aggs[i].kind;
-    arg_minmax.push_back(k == ops::AggKind::kMin || k == ops::AggKind::kMax);
+    layout.emplace_back(cq_.bound.aggs[i].kind, arg_cols.back()->type());
   }
-
-  DeltaGroups out;
-  out.nagg = arg_cols.size();
-  out.keys = Bat::MakeEmpty(key.type());
-  const uint64_t n = compact.rows;
-
-  // Direct single-key grouping fused with the aggregate fold: one pass that
-  // finds-or-creates a dense group id per row and types the argument adds.
-  // This runs once per basic window per side, on the delta fire path, so it
-  // avoids the generic ops::GroupBy (hash-chain vectors, representative
-  // oids, a second Value-boxed fold pass). The thread-local scratch tables
-  // keep their bucket arrays across fires, so the steady-state fire path
-  // does not allocate per call.
-  auto fold_row = [&](uint32_t g, uint64_t r) {
-    if (g == out.counts.size()) {  // first row of a new group
-      out.counts.push_back(0);
-      out.states.resize(out.states.size() + out.nagg);
-    }
-    ++out.counts[g];
-    ops::AggState* s = out.states.data() + g * out.nagg;
-    for (size_t j = 0; j < out.nagg; ++j) {
-      s[j].AddCell(*arg_cols[j], r, arg_minmax[j] != 0);
-    }
-  };
-  switch (key.type()) {
-    case TypeId::kI64:
-    case TypeId::kTs: {
-      thread_local GroupScratch<int64_t> tab;
-      tab.Prepare(n);
-      const auto data = key.I64Data();
-      for (uint64_t r = 0; r < n; ++r) {
-        uint32_t* slot = tab.FindOrInsertSlot(data[r], HashI64(data[r]));
-        if (*slot == GroupScratch<int64_t>::kEmpty) {
-          *slot = static_cast<uint32_t>(out.counts.size());
-          out.keys->AppendI64(data[r]);
-        }
-        fold_row(*slot, r);
-      }
-      break;
-    }
-    case TypeId::kF64: {
-      thread_local GroupScratch<double> tab;
-      tab.Prepare(n);
-      const auto data = key.F64Data();
-      for (uint64_t r = 0; r < n; ++r) {
-        uint32_t* slot = tab.FindOrInsertSlot(data[r], HashDouble(data[r]));
-        if (*slot == GroupScratch<double>::kEmpty) {
-          *slot = static_cast<uint32_t>(out.counts.size());
-          out.keys->AppendF64(data[r]);
-        }
-        fold_row(*slot, r);
-      }
-      break;
-    }
-    case TypeId::kStr: {
-      thread_local std::unordered_map<std::string, uint32_t> tab;
-      tab.clear();
-      for (uint64_t r = 0; r < n; ++r) {
-        const std::string_view k = key.StrAt(r);
-        const auto [it, fresh] = tab.emplace(
-            std::string(k), static_cast<uint32_t>(out.counts.size()));
-        if (fresh) out.keys->AppendStr(k);
-        fold_row(it->second, r);
-      }
-      break;
-    }
-    default: {
-      // Join keys are i64/f64/str (binder-enforced); keep a generic
-      // fallback so a new key domain degrades instead of failing.
-      DC_ASSIGN_OR_RETURN(ops::GroupResult gr, ops::GroupBy({&key}));
-      out.keys = ops::FetchOids(key, gr.representatives);
-      out.counts.assign(gr.num_groups, 0);
-      out.states.assign(gr.num_groups * out.nagg, ops::AggState{});
-      for (uint64_t r = 0; r < n; ++r) {
-        const uint32_t g = gr.group_ids[r];
-        ++out.counts[g];
-        ops::AggState* s = out.states.data() + g * out.nagg;
-        for (size_t j = 0; j < out.nagg; ++j) {
-          s[j].AddCell(*arg_cols[j], r, arg_minmax[j] != 0);
-        }
-      }
-      break;
-    }
-  }
-  return out;
+  groups->Reset({key->type()}, std::move(layout));
+  return groups->AddRows({key}, arg_cols);
 }
 
 Result<ColumnSet> QueryExecutor::Finish(
@@ -462,9 +331,9 @@ Result<ColumnSet> QueryExecutor::FinishAggregate(
     }
     rows = 1;
   } else {
-    ops::GroupedAggMerger merged(f.key_types, f.agg_layout);
+    ops::GroupTable merged(f.key_types, f.agg_layout);
     for (const Partial* p : partials) {
-      if (p->grouped) DC_RETURN_NOT_OK(merged.MergeFrom(*p->grouped));
+      DC_RETURN_NOT_OK(merged.Merge(p->grouped));
     }
     DC_ASSIGN_OR_RETURN(std::vector<BatPtr> cols, merged.Finalize());
     for (int k = 0; k < cq_.num_keys; ++k) key_cols.push_back(cols[k]);

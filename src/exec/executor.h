@@ -16,7 +16,6 @@
 #define DATACELL_EXEC_EXECUTOR_H_
 
 #include <deque>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,8 +32,8 @@ namespace dc::exec {
 struct Partial {
   // Aggregate queries without GROUP BY:
   std::vector<ops::AggState> scalar_states;
-  // Aggregate queries with GROUP BY:
-  std::shared_ptr<ops::GroupedAggMerger> grouped;
+  // Aggregate queries with GROUP BY (empty, with no layout, otherwise):
+  ops::GroupTable grouped;
   // Non-aggregate queries: the fragment's output columns. When the query
   // has an ORDER BY, MakePartial stores them pre-sorted by the hidden
   // sort columns, so each partial is one sorted run and Finish merges
@@ -42,7 +41,7 @@ struct Partial {
   std::vector<BatPtr> frag_cols;
   uint64_t rows = 0;
 
-  /// Approximate footprint (monitoring: "intermediate result sizes").
+  /// Bytes held (monitoring: "intermediate result sizes").
   size_t MemoryBytes() const;
 };
 
@@ -98,32 +97,12 @@ struct DeltaSideState {
   size_t MemoryBytes() const;
 };
 
-/// One basic window of one join side reduced to per-join-key groups, for
-/// the delta pre-aggregation push-down: the delta join then pairs groups
-/// instead of rows and applies the product rule (AggState::ScaledMerge),
-/// so per-emission cost scales with distinct keys rather than join pairs.
-struct DeltaGroups {
-  BatPtr keys;                   ///< distinct join keys, group order
-  std::vector<uint64_t> counts;  ///< rows per group
-  /// Flat per-group states, stride `nagg`: states[g * nagg + j] is group
-  /// g's state for the j-th of this side's local aggregates (the query
-  /// aggregates whose argument lives on this side, in query order).
-  /// COUNT(*) needs no per-side state. Flat storage keeps the hot
-  /// pairing loop free of per-group heap allocations.
-  size_t nagg = 0;
-  std::vector<ops::AggState> states;
-  uint64_t num_groups() const { return counts.size(); }
-  const ops::AggState* group_states(uint64_t g) const {
-    return states.data() + g * nagg;
-  }
-};
-
 /// Rolling retained-side state of the pre-aggregated delta path: the
 /// group-level analogue of DeltaSideState. Index positions are group
 /// ordinals into counts/states/bw_of (dense append order).
 struct DeltaGroupTrack {
   std::vector<uint64_t> counts;
-  /// Flat per-group states, stride `nagg` (same layout as DeltaGroups).
+  /// Flat per-group states, stride `nagg` (GroupTable's layout).
   size_t nagg = 0;
   std::vector<ops::AggState> states;
   std::vector<int64_t> bw_of;  ///< originating basic window per group
@@ -137,7 +116,7 @@ struct DeltaGroupTrack {
   /// discipline (which side appends before the opposite side probes, so
   /// each bw pair is accumulated exactly once and new x new rides on the
   /// second probe) lives in Factory::FireDeltaPreAgg.
-  Status AppendGroups(int64_t bw, const DeltaGroups& g);
+  Status AppendGroups(int64_t bw, const ops::GroupTable& g);
   void EvictBefore(int64_t first_live);
   void TrimIfWorthIt();
   uint64_t live_groups() const { return counts.size() - dead; }
@@ -179,10 +158,14 @@ class QueryExecutor {
 
   /// Pre-aggregation push-down (compiled().delta_pre_agg.eligible):
   /// reduces one basic window's compact columns of join side `side` (0 or
-  /// 1) to per-join-key groups with row counts and this side's local
-  /// aggregate states.
-  Result<DeltaGroups> BuildDeltaGroups(int side,
-                                       const StageOutput& compact) const;
+  /// 1) to per-join-key groups in `groups`, which is reset first. The
+  /// group states are this side's local aggregates: those whose argument
+  /// lives on this side, in query order (COUNT(*) needs none). The delta
+  /// join then pairs groups instead of rows and applies the product rule
+  /// (AggState::ScaledMerge), so per-emission cost scales with distinct
+  /// keys rather than join pairs.
+  Status BuildDeltaGroups(int side, const StageOutput& compact,
+                          ops::GroupTable* groups) const;
 
   /// Merges `partials` (possibly empty) and applies the finish step:
   /// select-list evaluation, HAVING, ORDER BY, LIMIT, column naming.

@@ -351,5 +351,40 @@ TEST_F(EngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(engine_.Query("SELECT x FROM t [ROWS 5]").ok());
 }
 
+// Streams refuse NULL cells at ingest, so none reaches a group key or an
+// aggregate argument. Every push path names the stream and column, and the
+// standing query keeps serving the rows that follow.
+TEST_F(EngineTest, StreamsRefuseNullCellsAndKeepServing) {
+  Exec("CREATE STREAM s (ts timestamp, k int, v int)");
+  const int qid =
+      Submit("SELECT k, sum(v) FROM s [ROWS 4 SLIDE 2] GROUP BY k");
+
+  const Status key = engine_.PushRow(
+      "s", {Value::Ts(1), Value::Null(TypeId::kI64), Value::I64(5)});
+  EXPECT_TRUE(key.IsInvalidArgument()) << key.ToString();
+  EXPECT_NE(key.message().find("stream s column k"), std::string::npos)
+      << key.ToString();
+  const Status arg = engine_.PushRow(
+      "s", {Value::Ts(1), Value::I64(0), Value::Null(TypeId::kI64)});
+  EXPECT_TRUE(arg.IsInvalidArgument()) << arg.ToString();
+  EXPECT_NE(arg.message().find("column v"), std::string::npos);
+  BatPtr nulls = Bat::MakeEmpty(TypeId::kI64);
+  nulls->AppendI64(1);
+  nulls->AppendNull();
+  const Status batch = engine_.PushColumns(
+      "s", {Bat::MakeTs({1, 2}), nulls, Bat::MakeI64({1, 2})});
+  EXPECT_TRUE(batch.IsInvalidArgument()) << batch.ToString();
+  EXPECT_NE(batch.message().find("column k"), std::string::npos);
+  engine_.Pump();
+  EXPECT_TRUE(Take(qid).empty());  // nothing was appended
+
+  for (int i = 0; i < 4; ++i) {
+    Push("s", {Value::Ts(10 + i), Value::I64(i % 2), Value::I64(i)});
+  }
+  engine_.Pump();
+  EXPECT_EQ(RowStrings(Take(qid)),
+            (std::vector<std::string>{"0|2|", "1|4|"}));
+}
+
 }  // namespace
 }  // namespace dc

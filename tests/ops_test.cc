@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "bat/ops_aggregate.h"
@@ -12,6 +17,8 @@
 #include "bat/ops_join.h"
 #include "bat/ops_select.h"
 #include "bat/ops_sort.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace dc {
 namespace {
@@ -367,37 +374,81 @@ TEST(JoinTest, FetchOids) {
   EXPECT_EQ(out->StrAt(2), "z");
 }
 
-TEST(GroupTest, SingleKey) {
-  auto key = Bat::MakeI64({1, 2, 1, 3, 2});
-  auto groups = ops::GroupBy({key.get()});
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(groups->num_groups, 3u);
-  EXPECT_EQ(groups->group_ids,
-            (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+// Finalized columns of a table built from `keys` / `values` in one call.
+std::vector<BatPtr> GroupWhole(const std::vector<TypeId>& key_types,
+                               const std::vector<std::pair<AggKind, TypeId>>&
+                                   aggs,
+                               const std::vector<const Bat*>& keys,
+                               const std::vector<const Bat*>& values) {
+  ops::GroupTable t(key_types, aggs);
+  EXPECT_TRUE(t.AddRows(keys, values).ok());
+  auto cols = t.Finalize();
+  EXPECT_TRUE(cols.ok());
+  return cols.ok() ? *cols : std::vector<BatPtr>{};
 }
 
-TEST(GroupTest, MultiKey) {
+TEST(GroupTableTest, SingleKey) {
+  // Each row's group shows in the sum of row ids it collects.
+  auto key = Bat::MakeI64({1, 2, 1, 3, 2});
+  auto rowid = Bat::MakeI64({0, 1, 2, 3, 4});
+  const auto cols = GroupWhole(
+      {TypeId::kI64}, {{AggKind::kCount, TypeId::kI64},
+                       {AggKind::kSum, TypeId::kI64}},
+      {key.get()}, {nullptr, rowid.get()});
+  ASSERT_EQ(cols.size(), 3u);
+  ASSERT_EQ(cols[0]->size(), 3u);
+  EXPECT_EQ(std::vector<int64_t>(cols[0]->I64Data().begin(),
+                                 cols[0]->I64Data().end()),
+            (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(std::vector<int64_t>(cols[1]->I64Data().begin(),
+                                 cols[1]->I64Data().end()),
+            (std::vector<int64_t>{2, 2, 1}));
+  EXPECT_EQ(std::vector<int64_t>(cols[2]->I64Data().begin(),
+                                 cols[2]->I64Data().end()),
+            (std::vector<int64_t>{0 + 2, 1 + 4, 3}));
+}
+
+TEST(GroupTableTest, MultiKey) {
   auto k1 = Bat::MakeI64({1, 1, 2, 1});
   auto k2 = Bat::MakeStr({"a", "b", "a", "a"});
-  auto groups = ops::GroupBy({k1.get(), k2.get()});
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(groups->num_groups, 3u);
-  EXPECT_EQ(groups->group_ids[3], groups->group_ids[0]);
+  auto rowid = Bat::MakeI64({0, 1, 2, 3});
+  const auto cols = GroupWhole({TypeId::kI64, TypeId::kStr},
+                               {{AggKind::kSum, TypeId::kI64}},
+                               {k1.get(), k2.get()}, {rowid.get()});
+  ASSERT_EQ(cols.size(), 3u);
+  ASSERT_EQ(cols[0]->size(), 3u);
+  // Row 3 joins row 0's group: (1,a) collects rows 0 and 3.
+  EXPECT_EQ(cols[0]->I64Data()[0], 1);
+  EXPECT_EQ(cols[1]->StrAt(0), "a");
+  EXPECT_EQ(cols[2]->I64Data()[0], 0 + 3);
+  EXPECT_EQ(cols[1]->StrAt(1), "b");
+  EXPECT_EQ(cols[0]->I64Data()[2], 2);
 }
 
-TEST(GroupTest, GroupedAggregates) {
+TEST(GroupTableTest, GroupedAggregates) {
   auto key = Bat::MakeI64({1, 2, 1, 2});
   auto val = Bat::MakeI64({10, 20, 30, 40});
-  auto groups = ops::GroupBy({key.get()});
-  ASSERT_TRUE(groups.ok());
-  auto sums = ops::GroupedAgg(AggKind::kSum, val.get(), nullptr, *groups);
-  ASSERT_TRUE(sums.ok());
-  EXPECT_EQ((*sums)->I64Data()[0], 40);
-  EXPECT_EQ((*sums)->I64Data()[1], 60);
-  auto counts = ops::GroupedAgg(AggKind::kCount, nullptr, nullptr, *groups);
-  EXPECT_EQ((*counts)->I64Data()[0], 2);
-  auto avgs = ops::GroupedAgg(AggKind::kAvg, val.get(), nullptr, *groups);
-  EXPECT_EQ((*avgs)->F64Data()[0], 20.0);
+  const auto cols = GroupWhole(
+      {TypeId::kI64},
+      {{AggKind::kSum, TypeId::kI64},
+       {AggKind::kCount, TypeId::kI64},
+       {AggKind::kAvg, TypeId::kI64}},
+      {key.get()}, {val.get(), nullptr, val.get()});
+  ASSERT_EQ(cols.size(), 4u);
+  EXPECT_EQ(cols[1]->I64Data()[0], 40);
+  EXPECT_EQ(cols[1]->I64Data()[1], 60);
+  EXPECT_EQ(cols[2]->I64Data()[0], 2);
+  EXPECT_EQ(cols[3]->F64Data()[0], 20.0);
+}
+
+TEST(GroupTableTest, NullKeyIsRefused) {
+  auto key = Bat::MakeEmpty(TypeId::kI64);
+  key->AppendI64(1);
+  key->AppendNull();
+  ops::GroupTable t({TypeId::kI64}, {{AggKind::kCount, TypeId::kI64}});
+  const Status s = t.AddRows({key.get()}, {nullptr});
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_EQ(t.num_groups(), 0u);
 }
 
 TEST(AggStateTest, ScalarAggregates) {
@@ -484,7 +535,7 @@ TEST(AggStateTest, ScaledMergeZeroTimesIsIdentity) {
   EXPECT_TRUE(s.Finalize(AggKind::kSum, TypeId::kI64).is_null());
 }
 
-TEST(GroupedMergerTest, MergePartialsEqualsWhole) {
+TEST(GroupTableTest, MergePartialsEqualsWhole) {
   const std::vector<TypeId> key_types{TypeId::kStr};
   const std::vector<std::pair<AggKind, TypeId>> aggs{
       {AggKind::kSum, TypeId::kI64}, {AggKind::kCount, TypeId::kI64}};
@@ -492,19 +543,19 @@ TEST(GroupedMergerTest, MergePartialsEqualsWhole) {
   auto keys = Bat::MakeStr({"a", "b", "a", "c", "b", "a"});
   auto vals = Bat::MakeI64({1, 2, 3, 4, 5, 6});
 
-  ops::GroupedAggMerger whole(key_types, aggs);
-  ASSERT_TRUE(whole.AddPartial({keys.get()}, {vals.get(), nullptr}).ok());
+  ops::GroupTable whole(key_types, aggs);
+  ASSERT_TRUE(whole.AddRows({keys.get()}, {vals.get(), nullptr}).ok());
 
-  ops::GroupedAggMerger m1(key_types, aggs), m2(key_types, aggs);
+  ops::GroupTable m1(key_types, aggs), m2(key_types, aggs);
   auto k1 = keys->Slice(0, 3);
   auto v1 = vals->Slice(0, 3);
   auto k2 = keys->Slice(3, 6);
   auto v2 = vals->Slice(3, 6);
-  ASSERT_TRUE(m1.AddPartial({k1.get()}, {v1.get(), nullptr}).ok());
-  ASSERT_TRUE(m2.AddPartial({k2.get()}, {v2.get(), nullptr}).ok());
-  ASSERT_TRUE(m1.MergeFrom(m2).ok());
+  ASSERT_TRUE(m1.AddRows({k1.get()}, {v1.get(), nullptr}).ok());
+  ASSERT_TRUE(m2.AddRows({k2.get()}, {v2.get(), nullptr}).ok());
+  ASSERT_TRUE(m1.Merge(m2).ok());
 
-  auto cw = std::move(whole).Finalize();
+  auto cw = whole.Finalize();
   auto cm = m1.Finalize();
   ASSERT_TRUE(cw.ok() && cm.ok());
   ASSERT_EQ((*cw)[0]->size(), (*cm)[0]->size());
@@ -593,6 +644,306 @@ TEST(SortTest, WithCandidates) {
   auto order = ops::SortOrder({{col.get(), true}}, &cand);
   ASSERT_TRUE(order.ok());
   EXPECT_EQ(*order, (std::vector<Oid>{3, 2, 0}));
+}
+
+// --- Grouping oracle -------------------------------------------------------
+//
+// GroupTable against a brute-force reference that shares none of its code:
+// a std::map from key tuple to group (a row with a NaN key cell skips the
+// map, since each NaN is its own group) and plain per-group accumulators.
+// Keys are 1-3 columns over all five types with small domains (NaN, -0.0,
+// duplicate and empty strings); the rows are split at random into
+// contiguous, possibly empty partials, each grouped by its own table and
+// merged in order. Seeded like the other fuzzers: DC_FUZZ_SEED overrides
+// the base seed, DC_FUZZ_ROUNDS the round count.
+
+constexpr TypeId kAllTypes[] = {TypeId::kBool, TypeId::kI64, TypeId::kF64,
+                                TypeId::kStr, TypeId::kTs};
+
+BatPtr OracleColumn(Rng& rng, TypeId t, uint64_t n, bool is_key) {
+  static const char* const kStrs[] = {"", "a", "b", "ab", "a"};
+  static const double kKeyF64[] = {0.0, -0.0, 1.5, -2.25, NAN, 3.0};
+  // Argument values stay NaN-free: MIN/MAX over NaN depend on fold order.
+  static const double kArgF64[] = {0.0, -0.0, 0.1, 1e16, -3.75, 2.5, 0.3};
+  const int64_t i64_hi = rng.Bernoulli(0.5) ? 3 : 1000;  // few or many groups
+  BatPtr col = Bat::MakeEmpty(t);
+  for (uint64_t i = 0; i < n; ++i) {
+    switch (t) {
+      case TypeId::kBool:
+        col->AppendBool(rng.Bernoulli(0.5));
+        break;
+      case TypeId::kI64:
+        col->AppendI64(rng.UniformInt(-3, i64_hi));
+        break;
+      case TypeId::kTs:
+        col->AppendI64(rng.UniformInt(0, 4) * 1000);
+        break;
+      case TypeId::kF64:
+        col->AppendF64(is_key ? kKeyF64[rng.UniformInt(0, 5)]
+                              : kArgF64[rng.UniformInt(0, 6)]);
+        break;
+      case TypeId::kStr:
+        col->AppendStr(kStrs[rng.UniformInt(0, 4)]);
+        break;
+    }
+  }
+  return col;
+}
+
+/// Exact rendering of one cell: type, and doubles bit for bit.
+std::string RenderCell(const Value& v) {
+  std::string out = TypeName(v.type());
+  out += ':';
+  if (v.is_null()) return out + "NULL";
+  if (v.type() == TypeId::kF64) return out + StrFormat("%a", v.AsF64());
+  return out + v.ToString();
+}
+
+/// One string per group: its finalized cells, then its row count.
+std::vector<std::string> RenderRows(const ops::GroupTable& t) {
+  const auto cols = t.Finalize();
+  EXPECT_TRUE(cols.ok());
+  std::vector<std::string> rows(t.num_groups());
+  for (uint64_t g = 0; g < rows.size(); ++g) {
+    for (const BatPtr& c : *cols) rows[g] += RenderCell(c->GetValue(g)) + "|";
+    rows[g] += StrFormat("rows=%llu",
+                         static_cast<unsigned long long>(t.counts()[g]));
+  }
+  return rows;
+}
+
+struct OracleCase {
+  std::vector<TypeId> key_types;
+  std::vector<std::pair<AggKind, TypeId>> aggs;
+  std::vector<BatPtr> keys;
+  std::vector<BatPtr> args;  // null for COUNT(*)
+  uint64_t rows = 0;
+};
+
+/// Expected rows of `c` grouped as the partials [cuts[p], cuts[p+1]).
+std::vector<std::string> ReferenceRows(const OracleCase& c,
+                                       const std::vector<uint64_t>& cuts) {
+  struct KeyLess {
+    bool operator()(const std::vector<Value>& a,
+                    const std::vector<Value>& b) const {
+      for (size_t i = 0; i < a.size(); ++i) {
+        const int cmp = a[i].Compare(b[i]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    }
+  };
+  struct Acc {  // one aggregate over a group's rows in one partial
+    uint64_t count = 0;
+    int64_t isum = 0;
+    double dsum = 0;
+  };
+  struct Group {
+    std::vector<Value> key;
+    std::vector<std::vector<Acc>> parts;  // per partial holding the group
+    size_t last_part = SIZE_MAX;
+    std::vector<std::optional<Value>> min, max;
+    uint64_t rows = 0;
+  };
+  const size_t nagg = c.aggs.size();
+  std::map<std::vector<Value>, size_t, KeyLess> index;
+  std::vector<Group> groups;
+  for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+    for (uint64_t r = cuts[p]; r < cuts[p + 1]; ++r) {
+      std::vector<Value> key;
+      bool nan = false;
+      for (const BatPtr& k : c.keys) {
+        key.push_back(k->GetValue(r));
+        nan = nan || (k->type() == TypeId::kF64 &&
+                      std::isnan(key.back().AsF64()));
+      }
+      size_t g;
+      auto it = nan ? index.end() : index.find(key);
+      if (it != index.end()) {
+        g = it->second;
+      } else {
+        g = groups.size();
+        if (!nan) index.emplace(key, g);
+        groups.push_back(Group{key, {}, SIZE_MAX,
+                               std::vector<std::optional<Value>>(nagg),
+                               std::vector<std::optional<Value>>(nagg)});
+      }
+      Group& grp = groups[g];
+      ++grp.rows;
+      if (grp.last_part != p) {
+        grp.parts.emplace_back(nagg);
+        grp.last_part = p;
+      }
+      for (size_t a = 0; a < nagg; ++a) {
+        Acc& acc = grp.parts.back()[a];
+        ++acc.count;
+        if (c.args[a] == nullptr) continue;
+        const Value v = c.args[a]->GetValue(r);
+        if (StoredAsI64(v.type())) {
+          acc.isum += v.AsI64();
+          acc.dsum += static_cast<double>(v.AsI64());
+        } else if (v.type() == TypeId::kF64) {
+          acc.dsum += v.AsF64();
+        }
+        if (!grp.min[a] || v.Compare(*grp.min[a]) < 0) grp.min[a] = v;
+        if (!grp.max[a] || v.Compare(*grp.max[a]) > 0) grp.max[a] = v;
+      }
+    }
+  }
+  std::vector<std::string> rows;
+  for (const Group& grp : groups) {
+    std::string row;
+    for (const Value& k : grp.key) row += RenderCell(k) + "|";
+    for (size_t a = 0; a < nagg; ++a) {
+      uint64_t count = 0;
+      int64_t isum = 0;
+      double dsum = 0;
+      for (size_t i = 0; i < grp.parts.size(); ++i) {
+        const Acc& acc = grp.parts[i][a];
+        count += acc.count;
+        isum += acc.isum;
+        dsum = i == 0 ? acc.dsum : dsum + acc.dsum;
+      }
+      const auto [kind, type] = c.aggs[a];
+      Value v;
+      switch (kind) {
+        case AggKind::kCount:
+          v = Value::I64(static_cast<int64_t>(count));
+          break;
+        case AggKind::kSum:
+          v = type == TypeId::kF64 ? Value::F64(dsum) : Value::I64(isum);
+          break;
+        case AggKind::kAvg:
+          v = Value::F64(dsum / static_cast<double>(count));
+          break;
+        case AggKind::kMin:
+          v = *grp.min[a];
+          break;
+        case AggKind::kMax:
+          v = *grp.max[a];
+          break;
+      }
+      row += RenderCell(v) + "|";
+    }
+    rows.push_back(row + StrFormat("rows=%llu",
+                                   static_cast<unsigned long long>(grp.rows)));
+  }
+  return rows;
+}
+
+OracleCase MakeOracleCase(Rng& rng) {
+  OracleCase c;
+  c.rows = rng.Bernoulli(0.1)
+               ? 0
+               : static_cast<uint64_t>(rng.UniformInt(1, 120));
+  const int nkeys = static_cast<int>(rng.UniformInt(1, 3));
+  for (int k = 0; k < nkeys; ++k) {
+    c.key_types.push_back(kAllTypes[rng.UniformInt(0, 4)]);
+    c.keys.push_back(OracleColumn(rng, c.key_types.back(), c.rows, true));
+  }
+  static const TypeId kNumeric[] = {TypeId::kI64, TypeId::kF64, TypeId::kTs};
+  static const TypeId kOrdered[] = {TypeId::kI64, TypeId::kF64, TypeId::kTs,
+                                    TypeId::kStr};
+  const int naggs = static_cast<int>(rng.UniformInt(1, 4));
+  for (int a = 0; a < naggs; ++a) {
+    const auto kind = static_cast<AggKind>(rng.UniformInt(0, 4));
+    TypeId t = TypeId::kI64;
+    bool star = false;
+    switch (kind) {
+      case AggKind::kCount:
+        star = rng.Bernoulli(0.3);
+        t = kAllTypes[rng.UniformInt(0, 4)];
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        t = kNumeric[rng.UniformInt(0, 2)];
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        t = kOrdered[rng.UniformInt(0, 3)];
+        break;
+    }
+    c.aggs.emplace_back(kind, star ? TypeId::kI64 : t);
+    c.args.push_back(star ? nullptr : OracleColumn(rng, t, c.rows, false));
+  }
+  return c;
+}
+
+/// Table columns restricted to rows [from, to).
+std::pair<std::vector<BatPtr>, std::vector<BatPtr>> OracleSlice(
+    const OracleCase& c, uint64_t from, uint64_t to) {
+  std::pair<std::vector<BatPtr>, std::vector<BatPtr>> out;
+  for (const BatPtr& k : c.keys) out.first.push_back(k->Slice(from, to));
+  for (const BatPtr& v : c.args) {
+    out.second.push_back(v ? v->Slice(from, to) : nullptr);
+  }
+  return out;
+}
+
+std::vector<const Bat*> Raw(const std::vector<BatPtr>& cols) {
+  std::vector<const Bat*> out;
+  for (const BatPtr& c : cols) out.push_back(c.get());
+  return out;
+}
+
+TEST(GroupTableOracle, MatchesBruteForceReference) {
+  uint64_t base_seed = 20261017;
+  int rounds = 200;
+  if (const char* s = std::getenv("DC_FUZZ_SEED")) {
+    base_seed = std::strtoull(s, nullptr, 10);
+  }
+  if (const char* s = std::getenv("DC_FUZZ_ROUNDS")) rounds = std::atoi(s);
+  for (int round = 0; round < rounds; ++round) {
+    const uint64_t seed = base_seed + static_cast<uint64_t>(round);
+    Rng rng(seed);
+    const OracleCase c = MakeOracleCase(rng);
+    std::vector<uint64_t> cuts{0, c.rows};
+    const int nparts = static_cast<int>(rng.UniformInt(1, 4));
+    for (int p = 1; p < nparts; ++p) {
+      cuts.push_back(static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(c.rows))));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const std::string repro = StrFormat(
+        "seed %llu (%zu keys, %zu aggs, %llu rows, %zu partials)\n"
+        "  repro: DC_FUZZ_SEED=%llu DC_FUZZ_ROUNDS=1 ./ops_test "
+        "--gtest_filter=GroupTableOracle.*",
+        static_cast<unsigned long long>(seed), c.keys.size(), c.aggs.size(),
+        static_cast<unsigned long long>(c.rows), cuts.size() - 1,
+        static_cast<unsigned long long>(seed));
+
+    // One AddRows over every row, and one AddRows per partial into the
+    // same table: both fold each group's rows in order.
+    ops::GroupTable whole(c.key_types, c.aggs);
+    ASSERT_TRUE(whole.AddRows(Raw(c.keys), Raw(c.args)).ok()) << repro;
+    ops::GroupTable stepwise(c.key_types, c.aggs);
+    // Partials, each grouped on its own, merged in order.
+    std::vector<ops::GroupTable> parts;
+    std::vector<std::vector<std::string>> part_rows;
+    for (size_t p = 0; p + 1 < cuts.size(); ++p) {
+      const auto [keys, args] = OracleSlice(c, cuts[p], cuts[p + 1]);
+      ASSERT_TRUE(stepwise.AddRows(Raw(keys), Raw(args)).ok()) << repro;
+      parts.emplace_back(c.key_types, c.aggs);
+      ASSERT_TRUE(parts.back().AddRows(Raw(keys), Raw(args)).ok()) << repro;
+      part_rows.push_back(RenderRows(parts.back()));
+    }
+    ops::GroupTable merged(c.key_types, c.aggs);
+    for (const ops::GroupTable& t : parts) {
+      ASSERT_TRUE(merged.Merge(t).ok()) << repro;
+    }
+
+    const std::vector<std::string> one_part =
+        ReferenceRows(c, {0, c.rows});
+    EXPECT_EQ(RenderRows(whole), one_part) << repro;
+    EXPECT_EQ(RenderRows(stepwise), one_part) << repro;
+    EXPECT_EQ(RenderRows(merged), ReferenceRows(c, cuts))
+        << repro;
+    EXPECT_EQ(merged.num_groups(), one_part.size()) << repro;
+    for (size_t p = 0; p < parts.size(); ++p) {  // Merge left them alone
+      EXPECT_EQ(RenderRows(parts[p]), part_rows[p]) << repro;
+    }
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -43,6 +43,31 @@ TEST(ReceptorTest, IngestsEverythingAndSeals) {
   EXPECT_EQ(view.cols[1]->I64Data()[99], 99);
 }
 
+// A batch holding a NULL cell is refused and dropped whole; the batches
+// around it still land.
+TEST(ReceptorTest, DropsBatchesWithNullCells) {
+  Basket basket("s", TsI64Schema(), 0);
+  auto i = std::make_shared<int64_t>(0);
+  Receptor::RowGen gen = [i](std::vector<Value>* row) {
+    if (*i >= 12) return false;
+    row->resize(2);
+    (*row)[0] = Value::Ts(*i);
+    (*row)[1] = *i == 5 ? Value::Null(TypeId::kI64) : Value::I64(*i);
+    ++*i;
+    return true;
+  };
+  Receptor::Options opts;
+  opts.batch_rows = 4;  // rows 4..7 form the refused batch
+  Receptor r("r", &basket, std::move(gen), opts);
+  r.Start();
+  r.WaitFinished();
+  EXPECT_EQ(basket.HighSeq(), 8u);
+  EXPECT_EQ(r.Stats().rows, 8u);
+  BasketView view = basket.Read(0);
+  EXPECT_EQ(view.cols[1]->I64Data()[4], 8);
+  EXPECT_FALSE(view.cols[1]->has_nulls());
+}
+
 // Regression: start_time_ was a plain Micros written by Start() and read
 // by Stats() from other threads — a data race TSan flags. It is atomic
 // now; this test keeps the racing pair exercised so the TSan CI preset
