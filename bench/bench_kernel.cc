@@ -12,7 +12,9 @@
 #include "bat/ops_join.h"
 #include "bat/ops_select.h"
 #include "bat/ops_sort.h"
+#include "storage/wal.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace dc {
 namespace {
@@ -214,6 +216,51 @@ void BM_CandidateIntersect(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_CandidateIntersect);
+
+// Basket-log codec on netmon's batch shape: one 625-row packet batch
+// (ts + four i64 columns), as logged per append by a durable engine.
+std::vector<BatPtr> NetmonBatch() {
+  return workload::PacketBatch(workload::PacketConfig{}, 0, 625);
+}
+
+void BM_WalEncodeBatch(benchmark::State& state) {
+  const std::vector<BatPtr> cols = NetmonBatch();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    storage::WalFrame frame = storage::EncodeBatch(7, 4375, 625, cols);
+    bytes = frame.payload().size();
+    benchmark::DoNotOptimize(frame.payload().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_WalEncodeBatch);
+
+void BM_WalDecodeBatch(benchmark::State& state) {
+  const storage::WalFrame frame =
+      storage::EncodeBatch(7, 4375, 625, NetmonBatch());
+  const storage::WalRecord rec{storage::WalRecordType::kBatch,
+                               std::string(frame.payload().substr(1))};
+  for (auto _ : state) {
+    auto batch = storage::DecodeBatch(rec);
+    benchmark::DoNotOptimize(batch.ok());
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * frame.payload().size()));
+}
+BENCHMARK(BM_WalDecodeBatch);
+
+void BM_Crc32(benchmark::State& state) {
+  const storage::WalFrame frame =
+      storage::EncodeBatch(7, 4375, 625, NetmonBatch());
+  const std::string_view payload = frame.payload();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::Crc32(payload.data(), payload.size()));
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * payload.size()));
+}
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 }  // namespace dc

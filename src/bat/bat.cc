@@ -115,6 +115,29 @@ void Bat::AppendNull() {
   nulls_.push_back(1);
 }
 
+void Bat::SetNulls(std::span<const uint8_t> flags) {
+  for (uint64_t i = 0; i < size_; ++i) {
+    if (flags[i] == 0) continue;
+    nulls_.resize(size_, 0);
+    nulls_[i] = 1;
+    switch (type_) {
+      case TypeId::kBool:
+        bools_[i] = 0;
+        break;
+      case TypeId::kI64:
+      case TypeId::kTs:
+        ints_[i] = 0;
+        break;
+      case TypeId::kF64:
+        dbls_[i] = 0;
+        break;
+      case TypeId::kStr:
+        if (!StrAt(i).empty()) strs_[i] = heap_.Add("");
+        break;
+    }
+  }
+}
+
 void Bat::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();

@@ -93,6 +93,12 @@ class Bat {
   }
   /// True when any row may be NULL (the bitmap exists).
   bool has_nulls() const { return !nulls_.empty(); }
+  /// The null bitmap, one 0/1 byte per row. It may be shorter than
+  /// size() (rows past its end are non-null) and is empty without NULLs.
+  std::span<const uint8_t> NullFlags() const { return nulls_; }
+  /// Marks row i NULL for every non-zero `flags[i]` and zeroes its
+  /// payload (bulk decoders); `flags` must span size() rows.
+  void SetNulls(std::span<const uint8_t> flags);
 
   /// Boxed value at row `i` (edges: printing, tests, row assembly).
   Value GetValue(uint64_t i) const;

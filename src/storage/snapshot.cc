@@ -20,12 +20,8 @@ enum class SnapTag : uint8_t {
   kFooter = 39,  // {records-before-footer u64} — completeness check
 };
 
-std::string EncodeSnapRecord(SnapTag tag, WalEncoder body) {
-  WalEncoder out;
-  out.PutU8(static_cast<uint8_t>(tag));
-  const std::string b = body.Take();
-  out.PutBytes(b.data(), b.size());
-  return out.Take();
+WalEncoder SnapRecord(SnapTag tag) {
+  return WalEncoder(static_cast<uint8_t>(tag));
 }
 
 Result<SnapshotData> ParseSnapshot(const WalScan& scan) {
@@ -110,24 +106,25 @@ Status WriteSnapshot(WalEnv* env, const std::string& dir,
                      monitor::Counter* bytes_counter) {
   std::string blob(kWalMagic, sizeof(kWalMagic));
   uint64_t records = 0;
-  auto add = [&](SnapTag tag, WalEncoder body) {
-    blob += FrameRecord(EncodeSnapRecord(tag, std::move(body)));
+  auto add = [&](WalEncoder record) {
+    WalFrame frame = record.TakeFrame();
+    blob += frame.Seal();
     ++records;
   };
 
   {
-    WalEncoder enc;
+    WalEncoder enc = SnapRecord(SnapTag::kHeader);
     enc.PutU64(data.checkpoint_id);
-    add(SnapTag::kHeader, std::move(enc));
+    add(std::move(enc));
   }
   for (const SnapshotBasket& b : data.baskets) {
-    WalEncoder enc;
+    WalEncoder enc = SnapRecord(SnapTag::kBasket);
     enc.PutStr(b.name);
     enc.PutU64(b.horizon);
-    add(SnapTag::kBasket, std::move(enc));
+    add(std::move(enc));
   }
   for (const SnapshotQuery& q : data.queries) {
-    WalEncoder enc;
+    WalEncoder enc = SnapRecord(SnapTag::kQuery);
     enc.PutU64(q.token);
     enc.PutU32(static_cast<uint32_t>(q.progress.origins.size()));
     for (uint64_t o : q.progress.origins) enc.PutU64(o);
@@ -135,18 +132,18 @@ Status WriteSnapshot(WalEnv* env, const std::string& dir,
     enc.PutI64(q.progress.next_emission);
     enc.PutU64(q.progress.batch_cursor);
     enc.PutU64(q.progress.emissions);
-    add(SnapTag::kQuery, std::move(enc));
+    add(std::move(enc));
   }
   for (const SnapshotNode& n : data.nodes) {
-    WalEncoder enc;
+    WalEncoder enc = SnapRecord(SnapTag::kNode);
     enc.PutStr(n.label);
     enc.PutU64(n.origin_seq);
-    add(SnapTag::kNode, std::move(enc));
+    add(std::move(enc));
   }
   {
-    WalEncoder enc;
+    WalEncoder enc = SnapRecord(SnapTag::kFooter);
     enc.PutU64(records);
-    add(SnapTag::kFooter, std::move(enc));
+    add(std::move(enc));
   }
 
   const std::string current = SnapshotPath(dir);

@@ -7,10 +7,11 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
+#include "monitor/trace.h"
 #include "util/string_util.h"
 
 namespace dc {
@@ -30,26 +31,55 @@ std::string DirName(const std::string& path) {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+/// Slicing-by-16 tables for the reflected IEEE polynomial: kCrcTables[0]
+/// is the classic byte-at-a-time table, kCrcTables[k][b] the CRC of byte
+/// b followed by k zero bytes, so one step folds 16 input bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
     }
-    return t;
-  }();
-  return table;
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint32_t Load32(const unsigned char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  const uint32_t* table = Crc32Table();
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 16; n -= 16, p += 16) {
+    // Little-endian words: the first byte sits lowest and has the most
+    // bytes left to travel, so it takes the highest table.
+    const uint32_t a = Load32(p) ^ c;
+    const uint32_t b = Load32(p + 4);
+    const uint32_t d = Load32(p + 8);
+    const uint32_t e = Load32(p + 12);
+    c = t[15][a & 0xFF] ^ t[14][(a >> 8) & 0xFF] ^ t[13][(a >> 16) & 0xFF] ^
+        t[12][a >> 24] ^ t[11][b & 0xFF] ^ t[10][(b >> 8) & 0xFF] ^
+        t[9][(b >> 16) & 0xFF] ^ t[8][b >> 24] ^ t[7][d & 0xFF] ^
+        t[6][(d >> 8) & 0xFF] ^ t[5][(d >> 16) & 0xFF] ^ t[4][d >> 24] ^
+        t[3][e & 0xFF] ^ t[2][(e >> 8) & 0xFF] ^ t[1][(e >> 16) & 0xFF] ^
+        t[0][e >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -193,18 +223,18 @@ WalEnv* WalEnv::Default() {
 // Encoder / decoder.
 // --------------------------------------------------------------------------
 
-void WalEncoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+std::string_view WalFrame::Seal() {
+  const std::string_view body = payload();
+  const uint32_t header[2] = {static_cast<uint32_t>(body.size()),
+                              Crc32(body.data(), body.size())};
+  std::memcpy(buf_.data(), header, sizeof(header));
+  return buf_;
 }
 
-void WalEncoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void WalEncoder::PutF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
+WalEncoder::WalEncoder(uint8_t type_tag, size_t reserve) {
+  buf_.reserve(kWalFrameHeaderBytes + 1 + reserve);
+  buf_.resize(kWalFrameHeaderBytes);
+  PutU8(type_tag);
 }
 
 void WalEncoder::PutStr(std::string_view s) {
@@ -212,44 +242,41 @@ void WalEncoder::PutStr(std::string_view s) {
   PutBytes(s.data(), s.size());
 }
 
-void WalEncoder::PutBytes(const void* data, size_t n) {
-  buf_.append(static_cast<const char*>(data), n);
-}
-
 uint8_t WalDecoder::GetU8() {
-  if (!ok_ || pos_ + 1 > data_.size()) {
-    ok_ = false;
-    return 0;
-  }
-  return static_cast<uint8_t>(data_[pos_++]);
+  const std::string_view b = GetBytes(1);
+  return ok_ ? static_cast<uint8_t>(b[0]) : 0;
 }
 
 uint32_t WalDecoder::GetU32() {
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  const std::string_view b = GetBytes(sizeof(v));
+  if (ok_) std::memcpy(&v, b.data(), sizeof(v));
+  return v;
 }
 
 uint64_t WalDecoder::GetU64() {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  const std::string_view b = GetBytes(sizeof(v));
+  if (ok_) std::memcpy(&v, b.data(), sizeof(v));
+  return v;
 }
 
 double WalDecoder::GetF64() {
   const uint64_t bits = GetU64();
   double v;
   std::memcpy(&v, &bits, sizeof(v));
-  return ok_ ? v : 0.0;
+  return v;
 }
 
-std::string WalDecoder::GetStr() {
+std::string WalDecoder::GetStr() { return std::string(GetStrView()); }
+
+std::string_view WalDecoder::GetStrView() {
   const uint32_t n = GetU32();
-  return std::string(GetBytes(n));
+  return GetBytes(n);
 }
 
 std::string_view WalDecoder::GetBytes(size_t n) {
-  if (!ok_ || pos_ + n > data_.size()) {
+  if (!ok_ || n > remaining()) {
     ok_ = false;
     return {};
   }
@@ -262,6 +289,46 @@ std::string_view WalDecoder::GetBytes(size_t n) {
 // Column codec.
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// Encoded bytes per value: the width of a fixed-width type, the u32
+/// length prefix (the least a value can take) for strings.
+size_t MinValueBytes(TypeId type) {
+  switch (type) {
+    case TypeId::kBool:
+      return 1;
+    case TypeId::kI64:
+    case TypeId::kTs:
+    case TypeId::kF64:
+      return 8;
+    case TypeId::kStr:
+      return sizeof(uint32_t);
+  }
+  return 1;
+}
+
+/// Exact encoded size of one column, so a batch record allocates once.
+size_t EncodedBatBytes(const Bat& b) {
+  const uint64_t n = b.size();
+  size_t bytes =
+      1 + 8 + 1 + (b.has_nulls() ? n : 0) + n * MinValueBytes(b.type());
+  if (b.type() == TypeId::kStr) {
+    for (uint64_t i = 0; i < n; ++i) bytes += b.StrAt(i).size();
+  }
+  return bytes;
+}
+
+/// Reads `n` fixed-width values with one copy.
+template <typename T>
+std::vector<T> TakeValues(WalDecoder& dec, uint64_t n) {
+  const std::string_view raw = dec.GetBytes(n * sizeof(T));
+  std::vector<T> v(dec.ok() ? n : 0);
+  if (!v.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+  return v;
+}
+
+}  // namespace
+
 void EncodeBat(WalEncoder& enc, const Bat& b) {
   const uint64_t n = b.size();
   enc.PutU8(static_cast<uint8_t>(b.type()));
@@ -269,7 +336,9 @@ void EncodeBat(WalEncoder& enc, const Bat& b) {
   const bool nulls = b.has_nulls();
   enc.PutU8(nulls ? 1 : 0);
   if (nulls) {
-    for (uint64_t i = 0; i < n; ++i) enc.PutU8(b.IsNull(i) ? 1 : 0);
+    const std::span<const uint8_t> flags = b.NullFlags();
+    enc.PutBytes(flags.data(), flags.size());
+    enc.PutZeros(n - flags.size());
   }
   switch (b.type()) {
     case TypeId::kBool:
@@ -277,10 +346,10 @@ void EncodeBat(WalEncoder& enc, const Bat& b) {
       break;
     case TypeId::kI64:
     case TypeId::kTs:
-      for (int64_t v : b.I64Data()) enc.PutI64(v);
+      enc.PutBytes(b.I64Data().data(), n * sizeof(int64_t));
       break;
     case TypeId::kF64:
-      for (double v : b.F64Data()) enc.PutF64(v);
+      enc.PutBytes(b.F64Data().data(), n * sizeof(double));
       break;
     case TypeId::kStr:
       for (uint64_t i = 0; i < n; ++i) enc.PutStr(b.StrAt(i));
@@ -295,54 +364,47 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
   if (!dec.ok() || type_raw > static_cast<uint8_t>(TypeId::kTs)) {
     return Status::ParseError("wal: malformed column header");
   }
-  if (n > kMaxRecordBytes) {
-    return Status::ParseError("wal: implausible column length");
-  }
   const TypeId type = static_cast<TypeId>(type_raw);
-  std::vector<uint8_t> null_flags;
-  if (nulls) {
-    null_flags.resize(n);
-    for (uint64_t i = 0; i < n; ++i) null_flags[i] = dec.GetU8();
+  // Every row costs at least one byte per null flag plus its value (a
+  // string its u32 length), so a length the bytes left cannot hold is
+  // corruption: refuse it before allocating anything.
+  const size_t row_bytes = (nulls ? 1 : 0) + MinValueBytes(type);
+  if (n > dec.remaining() / row_bytes) {
+    return Status::ParseError("wal: column length exceeds the record");
   }
-  BatPtr out = Bat::MakeEmpty(type);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (nulls && null_flags[i]) {
-      // Consume the zero payload the encoder wrote, then append NULL.
-      switch (type) {
-        case TypeId::kBool:
-          dec.GetU8();
-          break;
-        case TypeId::kI64:
-        case TypeId::kTs:
-          dec.GetI64();
-          break;
-        case TypeId::kF64:
-          dec.GetF64();
-          break;
-        case TypeId::kStr:
-          dec.GetStr();
-          break;
+  const std::string_view null_flags = nulls ? dec.GetBytes(n) : "";
+  BatPtr out;
+  switch (type) {
+    case TypeId::kBool: {
+      std::vector<uint8_t> v = TakeValues<uint8_t>(dec, n);
+      for (uint8_t& x : v) x = x != 0 ? 1 : 0;
+      out = Bat::MakeBool(std::move(v));
+      break;
+    }
+    case TypeId::kI64:
+      out = Bat::MakeI64(TakeValues<int64_t>(dec, n));
+      break;
+    case TypeId::kTs:
+      out = Bat::MakeTs(TakeValues<int64_t>(dec, n));
+      break;
+    case TypeId::kF64:
+      out = Bat::MakeF64(TakeValues<double>(dec, n));
+      break;
+    case TypeId::kStr:
+      out = Bat::MakeEmpty(type);
+      out->Reserve(n);
+      for (uint64_t i = 0; i < n; ++i) {
+        const std::string_view v = dec.GetStrView();
+        if (!dec.ok()) break;
+        out->AppendStr(v);
       }
-      out->AppendNull();
-      continue;
-    }
-    switch (type) {
-      case TypeId::kBool:
-        out->AppendBool(dec.GetU8() != 0);
-        break;
-      case TypeId::kI64:
-      case TypeId::kTs:
-        out->AppendI64(dec.GetI64());
-        break;
-      case TypeId::kF64:
-        out->AppendF64(dec.GetF64());
-        break;
-      case TypeId::kStr:
-        out->AppendStr(dec.GetStr());
-        break;
-    }
+      break;
   }
   if (!dec.ok()) return Status::ParseError("wal: truncated column payload");
+  if (nulls) {
+    out->SetNulls(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(null_flags.data()), n));
+  }
   return out;
 }
 
@@ -352,12 +414,8 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
 
 namespace {
 
-std::string WithType(WalRecordType t, WalEncoder enc) {
-  WalEncoder out;
-  out.PutU8(static_cast<uint8_t>(t));
-  const std::string body = enc.Take();
-  out.PutBytes(body.data(), body.size());
-  return out.Take();
+WalEncoder Record(WalRecordType t, size_t reserve = 0) {
+  return WalEncoder(static_cast<uint8_t>(t), reserve);
 }
 
 Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
@@ -365,46 +423,56 @@ Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
   return WalDecoder(rec.body);
 }
 
+/// The fixed kBatch prefix {ordinal, begin_seq, rows} — all truncation
+/// needs to know about a batch.
+Status DecodeBatchHeader(WalDecoder& dec, WalBatch* b) {
+  b->ordinal = dec.GetU64();
+  b->begin_seq = dec.GetU64();
+  b->rows = dec.GetU64();
+  if (!dec.ok()) return Status::ParseError("wal: malformed batch header");
+  return Status::OK();
+}
+
 }  // namespace
 
-std::string EncodeReset(const WalReset& r) {
-  WalEncoder enc;
+WalFrame EncodeReset(const WalReset& r) {
+  WalEncoder enc = Record(WalRecordType::kReset);
   enc.PutU64(r.start_seq);
   enc.PutU64(r.next_ordinal);
   enc.PutI64(r.watermark);
   enc.PutU8(r.sealed ? 1 : 0);
-  return WithType(WalRecordType::kReset, std::move(enc));
+  return enc.TakeFrame();
 }
 
-std::string EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
-                        const std::vector<BatPtr>& cols) {
-  WalEncoder enc;
+WalFrame EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
+                     const std::vector<BatPtr>& cols) {
+  size_t bytes = 3 * 8 + 4;
+  for (const BatPtr& c : cols) bytes += EncodedBatBytes(*c);
+  WalEncoder enc = Record(WalRecordType::kBatch, bytes);
   enc.PutU64(ordinal);
   enc.PutU64(begin_seq);
   enc.PutU64(rows);
   enc.PutU32(static_cast<uint32_t>(cols.size()));
   for (const BatPtr& c : cols) EncodeBat(enc, *c);
-  return WithType(WalRecordType::kBatch, std::move(enc));
+  return enc.TakeFrame();
 }
 
-std::string EncodeHeartbeat(int64_t ts) {
-  WalEncoder enc;
+WalFrame EncodeHeartbeat(int64_t ts) {
+  WalEncoder enc = Record(WalRecordType::kHeartbeat);
   enc.PutI64(ts);
-  return WithType(WalRecordType::kHeartbeat, std::move(enc));
+  return enc.TakeFrame();
 }
 
-std::string EncodeSeal() {
-  return WithType(WalRecordType::kSeal, WalEncoder());
-}
+WalFrame EncodeSeal() { return Record(WalRecordType::kSeal).TakeFrame(); }
 
-std::string EncodeStatement(std::string_view sql) {
-  WalEncoder enc;
+WalFrame EncodeStatement(std::string_view sql) {
+  WalEncoder enc = Record(WalRecordType::kStatement);
   enc.PutStr(sql);
-  return WithType(WalRecordType::kStatement, std::move(enc));
+  return enc.TakeFrame();
 }
 
-std::string EncodeSubmit(const WalSubmit& s) {
-  WalEncoder enc;
+WalFrame EncodeSubmit(const WalSubmit& s) {
+  WalEncoder enc = Record(WalRecordType::kSubmit);
   enc.PutU64(s.token);
   enc.PutStr(s.sql);
   enc.PutU8(s.mode);
@@ -414,13 +482,13 @@ std::string EncodeSubmit(const WalSubmit& s) {
   enc.PutU64(s.batch_cursor);
   enc.PutStr(s.node_label);
   enc.PutU64(s.node_origin);
-  return WithType(WalRecordType::kSubmit, std::move(enc));
+  return enc.TakeFrame();
 }
 
-std::string EncodeRemove(uint64_t token) {
-  WalEncoder enc;
+WalFrame EncodeRemove(uint64_t token) {
+  WalEncoder enc = Record(WalRecordType::kRemove);
   enc.PutU64(token);
-  return WithType(WalRecordType::kRemove, std::move(enc));
+  return enc.TakeFrame();
 }
 
 Result<WalReset> DecodeReset(const WalRecord& rec) {
@@ -437,9 +505,7 @@ Result<WalReset> DecodeReset(const WalRecord& rec) {
 Result<WalBatch> DecodeBatch(const WalRecord& rec) {
   DC_ASSIGN_OR_RETURN(WalDecoder dec, BodyDecoder(rec, WalRecordType::kBatch));
   WalBatch b;
-  b.ordinal = dec.GetU64();
-  b.begin_seq = dec.GetU64();
-  b.rows = dec.GetU64();
+  DC_RETURN_NOT_OK(DecodeBatchHeader(dec, &b));
   const uint32_t ncols = dec.GetU32();
   if (!dec.ok() || ncols > 4096) {
     return Status::ParseError("wal: malformed batch header");
@@ -503,46 +569,86 @@ Result<uint64_t> DecodeRemove(const WalRecord& rec) {
 // File scan.
 // --------------------------------------------------------------------------
 
-std::string FrameRecord(std::string_view payload) {
-  WalEncoder enc;
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(payload.data(), payload.size()));
-  enc.PutBytes(payload.data(), payload.size());
-  return enc.Take();
-}
+namespace {
 
-Result<WalScan> ReadWalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+/// Reads a whole file with one sized read.
+Result<std::string> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  WalScan scan;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::Internal(
+        StrFormat("stat %s failed: %s", path.c_str(), std::strerror(errno)));
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::Internal(
+          StrFormat("read %s failed: %s", path.c_str(), std::strerror(err)));
+    }
+    if (n == 0) break;  // the file shrank since the stat
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  data.resize(got);
+  return data;
+}
+
+/// One record of a log image whose length and CRC checked out.
+struct FrameView {
+  uint64_t offset = 0;       // of the frame header in the image
+  std::string_view payload;  // type tag + body
+};
+
+/// Walks the valid prefix of a log image, adding one view per good
+/// record; returns the prefix length (0 when the magic is missing).
+uint64_t ScanFrames(std::string_view data, std::vector<FrameView>* out) {
   if (data.size() < sizeof(kWalMagic) ||
       std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    scan.valid_bytes = 0;
-    scan.clean_tail = data.empty();
-    return scan;
+    return 0;
   }
   size_t pos = sizeof(kWalMagic);
-  scan.valid_bytes = pos;
-  while (pos < data.size()) {
-    if (pos + 8 > data.size()) break;
-    WalDecoder hdr(std::string_view(data).substr(pos, 8));
-    const uint32_t len = hdr.GetU32();
-    const uint32_t crc = hdr.GetU32();
-    if (len == 0 || len > kMaxRecordBytes || pos + 8 + len > data.size()) break;
-    const std::string_view payload = std::string_view(data).substr(pos + 8, len);
-    if (Crc32(payload.data(), payload.size()) != crc) break;
-    WalRecord rec;
-    rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(payload[0]));
-    rec.body = std::string(payload.substr(1));
-    scan.records.push_back(std::move(rec));
-    pos += 8 + len;
-    scan.valid_bytes = pos;
+  while (data.size() - pos >= kWalFrameHeaderBytes) {
+    uint32_t header[2];  // [len][crc]
+    std::memcpy(header, data.data() + pos, sizeof(header));
+    const uint32_t len = header[0];
+    if (len == 0 || len > kMaxRecordBytes ||
+        len > data.size() - pos - kWalFrameHeaderBytes) {
+      break;
+    }
+    const std::string_view payload =
+        data.substr(pos + kWalFrameHeaderBytes, len);
+    if (Crc32(payload.data(), payload.size()) != header[1]) break;
+    out->push_back({pos, payload});
+    pos += kWalFrameHeaderBytes + len;
   }
+  return pos;
+}
+
+WalRecordType TypeOf(const FrameView& f) {
+  return static_cast<WalRecordType>(static_cast<uint8_t>(f.payload[0]));
+}
+
+}  // namespace
+
+Result<WalScan> ReadWalFile(const std::string& path) {
+  DC_ASSIGN_OR_RETURN(const std::string data, ReadFileBytes(path));
+  std::vector<FrameView> frames;
+  WalScan scan;
+  scan.valid_bytes = ScanFrames(data, &frames);
   scan.clean_tail = scan.valid_bytes == data.size();
+  scan.records.reserve(frames.size());
+  for (const FrameView& f : frames) {
+    scan.records.push_back({TypeOf(f), std::string(f.payload.substr(1))});
+  }
   return scan;
 }
 
@@ -560,12 +666,14 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
     // Drop a corrupt tail so new records extend the valid prefix. The
     // scan reads the real file: anything a simulated crash never
     // persisted is (correctly) not there.
-    Result<WalScan> scan = ReadWalFile(path);
-    if (scan.ok()) {
-      if (scan.value().valid_bytes == 0) {
+    Result<std::string> data = ReadFileBytes(path);
+    if (data.ok()) {
+      std::vector<FrameView> frames;
+      const uint64_t valid_bytes = ScanFrames(*data, &frames);
+      if (valid_bytes == 0) {
         fresh = true;  // no valid magic — rewrite from scratch
-      } else if (!scan.value().clean_tail) {
-        DC_RETURN_NOT_OK(env->TruncateFile(path, scan.value().valid_bytes));
+      } else if (valid_bytes != data->size()) {
+        DC_RETURN_NOT_OK(env->TruncateFile(path, valid_bytes));
       }
     } else {
       fresh = true;
@@ -591,8 +699,10 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
   return w;
 }
 
-Status WalWriter::Append(std::string_view payload) {
-  const std::string framed = FrameRecord(payload);
+Status WalWriter::Append(WalFrame frame) {
+  trace::Span span("wal.append", "wal");
+  const std::string_view framed = frame.Seal();
+  span.set_arg(static_cast<int64_t>(framed.size()));
   MutexLock lock(mu_);
   if (file_ == nullptr) return Status::Internal("wal writer closed");
   DC_RETURN_NOT_OK(file_->Append(framed));
@@ -618,6 +728,7 @@ Status WalWriter::Sync() {
 }
 
 Status WalWriter::SyncLocked() {
+  trace::Span span("wal.fsync", "wal");
   DC_RETURN_NOT_OK(file_->Sync());
   unsynced_ = 0;
   if (counters_.syncs) counters_.syncs->Add(1);
@@ -629,32 +740,39 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
   if (file_ == nullptr) return Status::Internal("wal writer closed");
   // Flush so the rewrite below sees every record appended so far.
   DC_RETURN_NOT_OK(SyncLocked());
-  DC_ASSIGN_OR_RETURN(WalScan scan, ReadWalFile(path_));
+  DC_ASSIGN_OR_RETURN(const std::string data, ReadFileBytes(path_));
+  std::vector<FrameView> frames;
+  const uint64_t valid_bytes = ScanFrames(data, &frames);
 
   // Fold the dropped prefix into a fresh reset record. Heartbeat
   // watermarks fold exactly; dropped batch timestamps need no folding
   // because the basket clamps appends to be globally non-decreasing, so
   // any surviving row revives at least the dropped rows' watermark (see
-  // docs/DURABILITY.md, "Truncation").
+  // docs/DURABILITY.md, "Truncation"). A batch is judged by its fixed
+  // header alone; its columns are never decoded.
   WalReset reset;
-  size_t keep_from = scan.records.size();
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    const WalRecord& rec = scan.records[i];
-    if (rec.type == WalRecordType::kReset) {
-      DC_ASSIGN_OR_RETURN(reset, DecodeReset(rec));
+  size_t keep_from = frames.size();
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const WalRecordType type = TypeOf(frames[i]);
+    const std::string_view body = frames[i].payload.substr(1);
+    if (type == WalRecordType::kReset) {
+      DC_ASSIGN_OR_RETURN(reset, DecodeReset({type, std::string(body)}));
       continue;
     }
-    if (rec.type == WalRecordType::kHeartbeat) {
-      DC_ASSIGN_OR_RETURN(const int64_t ts, DecodeHeartbeat(rec));
+    if (type == WalRecordType::kHeartbeat) {
+      DC_ASSIGN_OR_RETURN(const int64_t ts,
+                          DecodeHeartbeat({type, std::string(body)}));
       if (ts > reset.watermark) reset.watermark = ts;
       continue;
     }
-    if (rec.type == WalRecordType::kSeal) {
+    if (type == WalRecordType::kSeal) {
       reset.sealed = true;
       continue;
     }
-    if (rec.type == WalRecordType::kBatch) {
-      DC_ASSIGN_OR_RETURN(WalBatch b, DecodeBatch(rec));
+    if (type == WalRecordType::kBatch) {
+      WalDecoder dec(body);
+      WalBatch b;
+      DC_RETURN_NOT_OK(DecodeBatchHeader(dec, &b));
       const uint64_t end_seq = b.begin_seq + b.rows;
       const bool droppable =
           b.rows > 0 ? end_seq <= horizon : b.begin_seq < horizon;
@@ -674,14 +792,16 @@ Status WalWriter::TruncateTo(uint64_t horizon) {
   const std::string tmp = path_ + ".tmp";
   DC_ASSIGN_OR_RETURN(std::unique_ptr<WalFile> out,
                       env_->Open(tmp, /*truncate=*/true));
-  DC_RETURN_NOT_OK(out->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
-  DC_RETURN_NOT_OK(out->Append(FrameRecord(EncodeReset(reset))));
-  for (size_t i = keep_from; i < scan.records.size(); ++i) {
-    const WalRecord& rec = scan.records[i];
-    std::string payload;
-    payload.push_back(static_cast<char>(rec.type));
-    payload.append(rec.body);
-    DC_RETURN_NOT_OK(out->Append(FrameRecord(payload)));
+  std::string head(kWalMagic, sizeof(kWalMagic));
+  WalFrame reset_frame = EncodeReset(reset);
+  head.append(reset_frame.Seal());
+  DC_RETURN_NOT_OK(out->Append(head));
+  if (keep_from < frames.size()) {
+    // The kept records were verified by the scan: copy their frames as
+    // they are, without re-framing or re-checksumming them.
+    const uint64_t from = frames[keep_from].offset;
+    DC_RETURN_NOT_OK(out->Append(
+        std::string_view(data).substr(from, valid_bytes - from)));
   }
   DC_RETURN_NOT_OK(out->Sync());
   DC_RETURN_NOT_OK(out->Close());

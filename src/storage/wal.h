@@ -20,10 +20,12 @@
 #ifndef DATACELL_STORAGE_WAL_H_
 #define DATACELL_STORAGE_WAL_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/bat/bat.h"
@@ -35,7 +37,8 @@
 namespace dc {
 namespace storage {
 
-/// IEEE CRC32 over `n` bytes (table-based, no dependencies).
+/// IEEE CRC-32 (reflected polynomial 0xEDB88320) over `n` bytes,
+/// table-driven slicing-by-16.
 uint32_t Crc32(const void* data, size_t n);
 
 // --------------------------------------------------------------------------
@@ -111,18 +114,53 @@ struct WalRecord {
   std::string body;
 };
 
+/// Bytes of the frame header in front of every record payload:
+/// [u32 len][u32 crc32(payload)].
+inline constexpr size_t kWalFrameHeaderBytes = 8;
+
+/// One record built in place behind its frame header: kWalFrameHeaderBytes
+/// reserved bytes, then the payload (type tag + body). Seal() patches the
+/// length and CRC into the header, so a record is encoded into exactly one
+/// buffer and written as is.
+class WalFrame {
+ public:
+  /// The type tag and body, without the header.
+  std::string_view payload() const {
+    return std::string_view(buf_).substr(kWalFrameHeaderBytes);
+  }
+  /// Writes [len][crc] into the header; returns the whole frame.
+  std::string_view Seal();
+
+ private:
+  friend class WalEncoder;
+  explicit WalFrame(std::string buf) : buf_(std::move(buf)) {}
+  std::string buf_;
+};
+
+// The on-disk format is little-endian, and the codecs copy integers and
+// whole column buffers in native byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the WAL codec assumes a little-endian host");
+
 /// Little-endian append-only byte sink used by all record codecs.
 class WalEncoder {
  public:
+  /// Starts a record: reserves the frame header, then writes `type_tag`.
+  /// `reserve` pre-sizes the buffer for the body that follows.
+  explicit WalEncoder(uint8_t type_tag, size_t reserve = 0);
+
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
+  void PutU64(uint64_t v) { PutBytes(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutF64(double v);
+  void PutF64(double v) { PutBytes(&v, sizeof(v)); }
   void PutStr(std::string_view s);  // u32 length prefix + bytes
-  void PutBytes(const void* data, size_t n);
-  std::string Take() { return std::move(buf_); }
-  const std::string& buf() const { return buf_; }
+  void PutBytes(const void* data, size_t n) {
+    buf_.append(static_cast<const char*>(data), n);
+  }
+  void PutZeros(size_t n) { buf_.append(n, '\0'); }
+  /// The record started by the tagged constructor, ready to Seal().
+  WalFrame TakeFrame() { return WalFrame(std::move(buf_)); }
 
  private:
   std::string buf_;
@@ -135,12 +173,15 @@ class WalDecoder {
   explicit WalDecoder(std::string_view data) : data_(data) {}
   bool ok() const { return ok_; }
   bool Done() const { return pos_ == data_.size(); }
+  /// Bytes not yet consumed.
+  size_t remaining() const { return data_.size() - pos_; }
   uint8_t GetU8();
   uint32_t GetU32();
   uint64_t GetU64();
   int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
   double GetF64();
   std::string GetStr();
+  std::string_view GetStrView();
   std::string_view GetBytes(size_t n);
 
  private:
@@ -149,9 +190,12 @@ class WalDecoder {
   bool ok_ = true;
 };
 
-/// Serializes one column (values + null bitmap) for a kBatch record.
+/// Serializes one column for a kBatch record: {type u8, n u64, nulls u8,
+/// [n null flags], values}. Fixed-width values (and bool and null flags)
+/// are copied as whole little-endian buffers; strings are u32-prefixed.
 void EncodeBat(WalEncoder& enc, const Bat& b);
-/// Decodes one column; nullptr Result on malformed input.
+/// Decodes one column. Refuses (ParseError) a declared length the bytes
+/// left cannot hold before allocating anything.
 Result<BatPtr> DecodeBat(WalDecoder& dec);
 
 /// kReset payload: where the log starts and the basket state (watermark,
@@ -185,14 +229,14 @@ struct WalSubmit {
   uint64_t node_origin = 0;  // the node's origin_seq at creation
 };
 
-std::string EncodeReset(const WalReset& r);
-std::string EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
-                        const std::vector<BatPtr>& cols);
-std::string EncodeHeartbeat(int64_t ts);
-std::string EncodeSeal();
-std::string EncodeStatement(std::string_view sql);
-std::string EncodeSubmit(const WalSubmit& s);
-std::string EncodeRemove(uint64_t token);
+WalFrame EncodeReset(const WalReset& r);
+WalFrame EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
+                     const std::vector<BatPtr>& cols);
+WalFrame EncodeHeartbeat(int64_t ts);
+WalFrame EncodeSeal();
+WalFrame EncodeStatement(std::string_view sql);
+WalFrame EncodeSubmit(const WalSubmit& s);
+WalFrame EncodeRemove(uint64_t token);
 
 Result<WalReset> DecodeReset(const WalRecord& rec);
 Result<WalBatch> DecodeBatch(const WalRecord& rec);
@@ -200,10 +244,6 @@ Result<int64_t> DecodeHeartbeat(const WalRecord& rec);
 Result<std::string> DecodeStatement(const WalRecord& rec);
 Result<WalSubmit> DecodeSubmit(const WalRecord& rec);
 Result<uint64_t> DecodeRemove(const WalRecord& rec);
-
-/// Frames `payload` as [u32 len][u32 crc][payload] — what WalWriter
-/// appends and ReadWalFile parses. Exposed for the fuzzer.
-std::string FrameRecord(std::string_view payload);
 
 /// 8-byte magic at offset 0 of every WAL and snapshot file.
 inline constexpr char kWalMagic[8] = {'D', 'C', 'W', 'A', 'L', '0', '0', '1'};
@@ -252,16 +292,18 @@ class WalWriter {
                                                  int fsync_interval,
                                                  WalCounters counters);
 
-  /// Appends one framed record and applies the fsync policy.
-  Status Append(std::string_view payload);
+  /// Seals `frame`, writes it with one file append and applies the fsync
+  /// policy.
+  Status Append(WalFrame frame);
 
   /// Forces all appended records durable regardless of policy.
   Status Sync();
 
   /// Rewrites the log, dropping every batch wholly below `horizon` and
   /// folding the dropped prefix (watermark advances, ordinal/seq
-  /// positions, seal) into a fresh kReset head record. Atomic via
-  /// tmp + rename; the writer continues on the rewritten file.
+  /// positions, seal) into a fresh kReset head record. The kept records'
+  /// verified frames are copied verbatim. Atomic via tmp + rename; the
+  /// writer continues on the rewritten file.
   Status TruncateTo(uint64_t horizon);
 
   const std::string& path() const { return path_; }

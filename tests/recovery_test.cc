@@ -19,8 +19,14 @@
 // background-checkpointer round-trip ride along.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -202,6 +208,277 @@ TEST(WalCodec, TornAndGarbageTailsScanToTheValidPrefix) {
   EXPECT_EQ(*hb, 99);
 
   RemoveDirRecursive(dir);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// FNV-1a 64 — a dependency-free digest for golden byte images.
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Asserts two columns hold the same cells: type, length, NULLs, and
+/// every value bit for bit (so NaN and -0.0 count).
+void ExpectSameCells(const Bat& want, const Bat& got, size_t col) {
+  ASSERT_EQ(want.type(), got.type()) << "column " << col;
+  ASSERT_EQ(want.size(), got.size()) << "column " << col;
+  for (uint64_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(StrFormat("column %zu row %llu", col,
+                           static_cast<unsigned long long>(i)));
+    ASSERT_EQ(want.IsNull(i), got.IsNull(i));
+    if (want.IsNull(i)) continue;
+    switch (want.type()) {
+      case TypeId::kBool:
+        EXPECT_EQ(want.BoolData()[i], got.BoolData()[i]);
+        break;
+      case TypeId::kI64:
+      case TypeId::kTs:
+        EXPECT_EQ(want.I64Data()[i], got.I64Data()[i]);
+        break;
+      case TypeId::kF64:
+        EXPECT_EQ(std::memcmp(&want.F64Data()[i], &got.F64Data()[i],
+                              sizeof(double)),
+                  0);
+        break;
+      case TypeId::kStr:
+        EXPECT_EQ(want.StrAt(i), got.StrAt(i));
+        break;
+    }
+  }
+}
+
+/// A 5-row batch over all five types: INT64_MIN/MAX, NaN, -0.0, -inf,
+/// empty and repeated strings, bools, and NULL-flagged i64/str columns.
+std::vector<BatPtr> GoldenColumns() {
+  std::vector<BatPtr> cols;
+  cols.push_back(Bat::MakeI64({INT64_MIN, -1, 0, 1, INT64_MAX}));
+  cols.push_back(Bat::MakeTs({0, 1000, 1000, 2000000, INT64_MAX}));
+  cols.push_back(Bat::MakeF64({std::numeric_limits<double>::quiet_NaN(), -0.0,
+                               0.0, 1.5,
+                               -std::numeric_limits<double>::infinity()}));
+  cols.push_back(Bat::MakeStr({"", "a", "a", "hello world", ""}));
+  cols.push_back(Bat::MakeBool({1, 0, 1, 1, 0}));
+  BatPtr ints = Bat::MakeEmpty(TypeId::kI64);
+  ints->AppendI64(7);
+  ints->AppendNull();
+  ints->AppendI64(-3);
+  ints->AppendNull();
+  ints->AppendI64(9);
+  cols.push_back(ints);
+  BatPtr strs = Bat::MakeEmpty(TypeId::kStr);
+  strs->AppendNull();
+  strs->AppendStr("x");
+  strs->AppendStr("");
+  strs->AppendNull();
+  strs->AppendStr("x");
+  cols.push_back(strs);
+  return cols;
+}
+
+// The on-disk format is frozen: these digests were computed from logs and
+// snapshots written by the byte-at-a-time codec the bulk codec replaced.
+TEST(WalCodec, GoldenBytesAreUnchangedAndRoundTrip) {
+  const std::string dir = MakeTempDir("walgolden");
+  const std::string path = dir + "/g.wal";
+  const std::vector<BatPtr> cols = GoldenColumns();
+  const std::vector<BatPtr> empty = {
+      Bat::MakeEmpty(TypeId::kBool), Bat::MakeEmpty(TypeId::kI64),
+      Bat::MakeEmpty(TypeId::kF64), Bat::MakeEmpty(TypeId::kStr),
+      Bat::MakeEmpty(TypeId::kTs)};
+  storage::WalReset reset;
+  reset.start_seq = 100;
+  reset.next_ordinal = 3;
+  reset.watermark = -5;
+  storage::WalSubmit sub;
+  sub.token = 42;
+  sub.sql = "SELECT count(*) FROM s [ROWS 4 SLIDE 4]";
+  sub.mode = 1;
+  sub.name = "q";
+  sub.origins = {7, 9};
+  sub.batch_cursor = 3;
+  sub.node_label = "s#1";
+  sub.node_origin = 7;
+
+  std::vector<storage::WalFrame> frames;
+  frames.push_back(storage::EncodeReset(reset));
+  frames.push_back(storage::EncodeBatch(3, 100, 5, cols));
+  frames.push_back(storage::EncodeBatch(4, 105, 0, empty));
+  frames.push_back(storage::EncodeHeartbeat(-7));
+  frames.push_back(storage::EncodeSeal());
+  frames.push_back(storage::EncodeStatement("CREATE TABLE t (x int)"));
+  frames.push_back(storage::EncodeSubmit(sub));
+  frames.push_back(storage::EncodeRemove(42));
+
+  std::string expected(storage::kWalMagic, sizeof(storage::kWalMagic));
+  {
+    auto w = storage::WalWriter::Open(storage::WalEnv::Default(), path,
+                                      FsyncPolicy::kNever, 1,
+                                      storage::WalCounters{});
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (storage::WalFrame& f : frames) {
+      storage::WalFrame copy = f;
+      expected.append(copy.Seal());
+      ASSERT_TRUE((*w)->Append(std::move(f)).ok());
+    }
+  }
+  const std::string file = FileBytes(path);
+  EXPECT_EQ(file, expected);
+  EXPECT_EQ(file.size(), 653u);
+  EXPECT_EQ(Fnv1a(file), 0x784fa0dd1f06d906ull);
+
+  auto scan = storage::ReadWalFile(path);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_TRUE(scan->clean_tail);
+  ASSERT_EQ(scan->records.size(), frames.size());
+  auto full = storage::DecodeBatch(scan->records[1]);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->ordinal, 3u);
+  EXPECT_EQ(full->begin_seq, 100u);
+  EXPECT_EQ(full->rows, 5u);
+  ASSERT_EQ(full->cols.size(), cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ExpectSameCells(*cols[c], *full->cols[c], c);
+  }
+  auto none = storage::DecodeBatch(scan->records[2]);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->rows, 0u);
+  ASSERT_EQ(none->cols.size(), empty.size());
+  for (size_t c = 0; c < empty.size(); ++c) {
+    ExpectSameCells(*empty[c], *none->cols[c], c);
+  }
+
+  storage::SnapshotData snap;
+  snap.checkpoint_id = 9;
+  snap.baskets.push_back({"s", 20});
+  snap.baskets.push_back({"r", 0});
+  snap.queries.push_back(
+      {7, storage::FactoryProgress{{20, 3}, true, -5, 3, 11}});
+  snap.queries.push_back({8, storage::FactoryProgress{{}, false, 0, 0, 0}});
+  snap.nodes.push_back({"s#1", 20});
+  ASSERT_TRUE(
+      storage::WriteSnapshot(storage::WalEnv::Default(), dir, snap).ok());
+  const std::string snap_file = FileBytes(storage::SnapshotPath(dir));
+  EXPECT_EQ(snap_file.size(), 218u);
+  EXPECT_EQ(Fnv1a(snap_file), 0x8cfbff2cc93badd8ull);
+  auto loaded = storage::LoadSnapshot(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->checkpoint_id, 9u);
+  ASSERT_EQ(loaded->queries.size(), 2u);
+  EXPECT_EQ(loaded->queries[0].progress.origins,
+            (std::vector<uint64_t>{20, 3}));
+  EXPECT_EQ(loaded->queries[0].progress.next_emission, -5);
+
+  RemoveDirRecursive(dir);
+}
+
+uint32_t BitwiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WalCodec, Crc32MatchesTheBitwiseReference) {
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32(nullptr, 0), 0u);
+  std::vector<unsigned char> buf(257 + 16);
+  uint32_t x = 12345;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 16);
+  }
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t n = 0; n <= 257; ++n) {
+      ASSERT_EQ(storage::Crc32(buf.data() + align, n),
+                BitwiseCrc32(buf.data() + align, n))
+          << "length " << n << " at offset " << align;
+    }
+  }
+}
+
+long PeakRssKb() {
+  struct rusage ru;
+  ::getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+/// A kBatch body holding one column header {type, n, nulls} and no
+/// values: 28 header bytes + 10 column bytes.
+storage::WalRecord LyingBatch(TypeId type, uint64_t rows, bool nulls) {
+  std::string body;
+  auto put = [&body](const void* p, size_t n) {
+    body.append(static_cast<const char*>(p), n);
+  };
+  const uint64_t header[3] = {0, 0, rows};
+  const uint32_t ncols = 1;
+  const uint8_t col[2] = {static_cast<uint8_t>(type),
+                          static_cast<uint8_t>(nulls ? 1 : 0)};
+  put(header, sizeof(header));
+  put(&ncols, sizeof(ncols));
+  put(&col[0], 1);
+  put(&rows, sizeof(rows));
+  put(&col[1], 1);
+  return {storage::WalRecordType::kBatch, body};
+}
+
+// A checksum-valid record may still declare more rows than it carries.
+// The decoder must refuse such a length before allocating for it: at
+// 2^25 i64 rows, growing the column first would take 256 MB or more.
+TEST(WalCodec, ImpossibleRowCountIsRefusedBeforeAllocating) {
+  constexpr uint64_t kRows = uint64_t{1} << 25;
+  const long before_kb = PeakRssKb();
+  for (TypeId type : {TypeId::kI64, TypeId::kTs, TypeId::kF64,
+                      TypeId::kBool, TypeId::kStr}) {
+    for (bool nulls : {false, true}) {
+      const storage::WalRecord rec = LyingBatch(type, kRows, nulls);
+      ASSERT_EQ(rec.body.size(), 38u);
+      auto decoded = storage::DecodeBatch(rec);
+      ASSERT_FALSE(decoded.ok()) << TypeName(type);
+      EXPECT_TRUE(decoded.status().IsParseError())
+          << decoded.status().ToString();
+    }
+  }
+  // The peak may not move by more than allocator noise.
+  EXPECT_LT(PeakRssKb() - before_kb, 32 * 1024)
+      << "decoding a lying length allocated for it";
+}
+
+// Checksums only catch torn writes; a body that passes them may still be
+// malformed. Every truncation and single-byte corruption of a batch body
+// must decode to consistent columns or be refused, never read past the
+// record (the sanitizer builds check the bounds).
+TEST(WalCodec, MalformedBatchBodiesDecodeConsistentlyOrAreRefused) {
+  const storage::WalFrame frame =
+      storage::EncodeBatch(3, 100, 5, GoldenColumns());
+  const std::string body(frame.payload().substr(1));
+  auto check = [](const std::string& b) {
+    auto decoded = storage::DecodeBatch({storage::WalRecordType::kBatch, b});
+    if (!decoded.ok()) {
+      EXPECT_TRUE(decoded.status().IsParseError())
+          << decoded.status().ToString();
+      return;
+    }
+    for (const BatPtr& c : decoded->cols) EXPECT_EQ(c->size(), decoded->rows);
+  };
+  for (size_t len = 0; len < body.size(); ++len) check(body.substr(0, len));
+  for (size_t i = 0; i < body.size(); ++i) {
+    for (const uint8_t v : {0x00, 0x01, 0x7F, 0xFF}) {
+      std::string b = body;
+      b[i] = static_cast<char>(v);
+      check(b);
+    }
+  }
 }
 
 TEST(SnapshotFiles, AtomicRotationWithPrevFallback) {

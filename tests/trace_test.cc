@@ -1,8 +1,8 @@
 // Unit tests for src/monitor/trace.h: refcounted enablement, span /
 // instant recording, ring-buffer overwrite, per-thread tids, the Chrome
-// trace_event JSON dump, and the engine integration (factory fire /
+// trace_event JSON dump, the engine integration (factory fire /
 // basket append / emitter drain spans appear when
-// EngineOptions::enable_tracing is set).
+// EngineOptions::enable_tracing is set), and the WAL writer's spans.
 
 #include <string>
 #include <thread>
@@ -12,6 +12,8 @@
 
 #include "core/engine.h"
 #include "monitor/trace.h"
+#include "storage/wal.h"
+#include "tests/crash_util.h"
 
 namespace dc {
 namespace {
@@ -150,6 +152,26 @@ TEST(TraceTest, EngineIntegrationEmitsPipelineSpans) {
   EXPECT_NE(json.find("\"name\":\"basket.append\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"factory.fire\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"emitter.drain\""), std::string::npos);
+}
+
+TEST(TraceTest, WalWriterEmitsAppendAndFsyncSpans) {
+  trace::ClearForTest();
+  const std::string dir = testutil::MakeTempDir("walspans");
+  {
+    EnableScope on;
+    auto w = storage::WalWriter::Open(
+        storage::WalEnv::Default(), dir + "/t.wal",
+        storage::FsyncPolicy::kAlways, 1, storage::WalCounters{});
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE((*w)->Append(storage::EncodeHeartbeat(5)).ok());
+  }
+  const std::string json = trace::DumpJson();
+  // A heartbeat frame is 8 header bytes + the type tag + one i64.
+  EXPECT_NE(json.find("\"name\":\"wal.append\",\"cat\":\"wal\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"v\":17}"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"wal.fsync\""), std::string::npos);
+  testutil::RemoveDirRecursive(dir);
 }
 
 }  // namespace
