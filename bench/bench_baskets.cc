@@ -5,7 +5,6 @@
 //   * basket row append
 //   * COW table append (why baskets exist: tables are read-optimized)
 //   * full append->read->advance->shrink cycle at steady state
-//   * indexed table lookup vs basket scan (the indexing trade)
 //   * bounded-basket producer/consumer throughput (the backpressure path)
 //
 // `--smoke` runs the suite at a tiny time budget and writes
@@ -147,22 +146,6 @@ void BM_BasketBackpressureCycle(benchmark::State& state) {
       static_cast<double>(basket.Stats().resident_hwm_rows);
 }
 BENCHMARK(BM_BasketBackpressureCycle)->Arg(1024)->Arg(10000)->UseRealTime();
-
-void BM_TableIndexedLookup(benchmark::State& state) {
-  Table table("t", SensorSchema());
-  workload::SensorConfig config;
-  DC_CHECK_OK(table.AppendColumns(workload::SensorBatch(config, 0, 100000)));
-  auto idx = table.GetHashIndex("sensor");
-  DC_CHECK_OK(idx.status());
-  int64_t key = 0;
-  for (auto _ : state) {
-    auto hits = (*idx)->Lookup(Value::I64(key % 100));
-    benchmark::DoNotOptimize(hits->size());
-    ++key;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TableIndexedLookup);
 
 }  // namespace
 }  // namespace dc

@@ -89,6 +89,60 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
+// The stream⋈table shape of online_analytics' flows_by_asn: one basic
+// window of 2 500 stream keys probes a join hash built once over the
+// 20 000-row hosts table (unique keys), as a window node does between
+// table versions.
+void BM_JoinProbePrebuilt(benchmark::State& state) {
+  constexpr int64_t kHosts = 20000;
+  std::vector<int64_t> ips(kHosts);
+  for (int64_t i = 0; i < kHosts; ++i) ips[i] = i;
+  auto table = Bat::MakeI64(std::move(ips));
+  auto stream = RandomI64(2500, 0, kHosts - 1, 8);
+  ops::JoinHash build(TypeId::kI64);
+  DC_CHECK_OK(build.Append(*table, 0, table->size()));
+  std::vector<Oid> left, right;
+  for (auto _ : state) {
+    left.clear();
+    right.clear();
+    DC_CHECK_OK(build.Probe(*stream, 0, stream->size(), &left, &right,
+                            /*newest_first=*/true));
+    benchmark::DoNotOptimize(right.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(stream->size()));
+}
+BENCHMARK(BM_JoinProbePrebuilt)->Unit(benchmark::kMicrosecond);
+
+// One fire of a delta join's rolling index over a 10-basic-window window
+// of 2 500-row basic windows (keys uniform over 5 000 values, about 5
+// matches per probe): evict the basic window that left, probe with the
+// new one, append it, and rebase once the dead prefix outgrows the live
+// rows — the retained side's work per emission.
+void BM_RollingJoinFire(benchmark::State& state) {
+  constexpr uint64_t kBw = 2500;
+  constexpr int kWindow = 10;
+  std::vector<BatPtr> bws;
+  for (uint64_t s = 0; s < 16; ++s) bws.push_back(RandomI64(kBw, 0, 4999, s));
+  ops::JoinHash idx(TypeId::kI64);
+  for (int j = 0; j < kWindow; ++j) DC_CHECK_OK(idx.Append(*bws[j], 0, kBw));
+  std::vector<Oid> probe_out, pos_out;
+  size_t next = kWindow;
+  for (auto _ : state) {
+    const Bat& fresh = *bws[next++ % bws.size()];
+    idx.EvictBelow(idx.live_from() + kBw);
+    probe_out.clear();
+    pos_out.clear();
+    DC_CHECK_OK(idx.Probe(fresh, 0, kBw, &probe_out, &pos_out));
+    DC_CHECK_OK(idx.Append(fresh, 0, kBw));
+    if (idx.dead_entries() > idx.live_entries()) idx.Rebase();
+    benchmark::DoNotOptimize(pos_out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBw));
+}
+BENCHMARK(BM_RollingJoinFire)->Unit(benchmark::kMicrosecond);
+
 void BM_GroupTableBuild(benchmark::State& state) {
   const uint64_t n = 1 << 19;
   const int64_t cardinality = state.range(0);

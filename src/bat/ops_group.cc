@@ -11,7 +11,6 @@ namespace {
 
 /// Start of the per-row HashCombine chain over the key cells.
 constexpr uint64_t kHashSeed = 0x9ae16a3b2f90404fULL;
-constexpr size_t kMinSlots = 16;
 
 /// Folds column `col` into the running row hashes `hs`.
 void HashColumn(const Bat& col, std::vector<uint64_t>* hs) {
@@ -87,43 +86,14 @@ void GroupTable::Reset(std::vector<TypeId> key_types,
   keys_.clear();
   for (TypeId t : key_types_) keys_.push_back(Bat::MakeEmpty(t));
   counts_.clear();
-  hashes_.clear();
   states_.clear();
-  if (slots_.empty()) {
-    slots_.assign(kMinSlots, kEmpty);
-  } else {
-    std::fill(slots_.begin(), slots_.end(), kEmpty);
-  }
-}
-
-template <typename Eq>
-size_t GroupTable::Probe(uint64_t h, const Eq& eq) const {
-  const size_t mask = slots_.size() - 1;
-  size_t i = h & mask;
-  while (slots_[i] != kEmpty && !eq(slots_[i])) i = (i + 1) & mask;
-  return i;
+  map_.Clear();
 }
 
 uint32_t GroupTable::AddGroup(size_t slot, uint64_t h) {
-  const auto g = static_cast<uint32_t>(counts_.size());
   counts_.push_back(0);
-  hashes_.push_back(h);
   states_.resize(states_.size() + aggs_.size());
-  slots_[slot] = g;
-  if (counts_.size() * 2 > slots_.size()) Rehash(slots_.size() * 2);
-  return g;
-}
-
-void GroupTable::Rehash(size_t min_slots) {
-  size_t cap = kMinSlots;
-  while (cap < min_slots) cap <<= 1;
-  slots_.assign(cap, kEmpty);
-  const size_t mask = cap - 1;
-  for (uint32_t g = 0; g < hashes_.size(); ++g) {
-    size_t i = hashes_[g] & mask;
-    while (slots_[i] != kEmpty) i = (i + 1) & mask;
-    slots_[i] = g;
-  }
+  return map_.Add(slot, h);
 }
 
 template <typename T>
@@ -141,9 +111,9 @@ void GroupTable::AssignTyped(std::span<const T> data,
       h = HashCombine(kHashSeed, HashI64(x));
       kd = key.I64Data().data();
     }
-    const size_t s = Probe(h, [&](uint32_t g) { return kd[g] == x; });
-    uint32_t g = slots_[s];
-    if (g == kEmpty) {
+    size_t s;
+    uint32_t g = map_.Find(h, [&](uint32_t id) { return kd[id] == x; }, &s);
+    if (g == KeyMap::kNone) {
       if constexpr (std::is_same_v<T, double>) {
         key.AppendF64(x);
       } else {
@@ -162,11 +132,14 @@ void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
   for (const Bat* k : keys) HashColumn(*k, &hs);
   for (uint64_t r = 0; r < n; ++r) {
     const uint64_t h = hs[r];
-    const size_t s = Probe(h, [&](uint32_t g) {
-      return hashes_[g] == h && RowEq(keys_, g, keys, r);
-    });
-    uint32_t g = slots_[s];
-    if (g == kEmpty) {
+    size_t s;
+    uint32_t g = map_.Find(
+        h,
+        [&](uint32_t id) {
+          return map_.hash(id) == h && RowEq(keys_, id, keys, r);
+        },
+        &s);
+    if (g == KeyMap::kNone) {
       for (size_t k = 0; k < keys.size(); ++k) {
         keys_[k]->AppendRange(*keys[k], r, r + 1);
       }
@@ -238,22 +211,24 @@ Status GroupTable::Merge(const GroupTable& other) {
       keys_[k] = other.keys_[k]->Slice(0, other.num_groups());
     }
     counts_ = other.counts_;
-    hashes_ = other.hashes_;
     states_ = other.states_;
-    Rehash(2 * num_groups());
+    map_.Assign(other.map_.hashes());
     return Status::OK();
   }
   std::vector<const Bat*> theirs;
   for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
   const size_t nagg = aggs_.size();
   for (uint64_t og = 0; og < other.num_groups(); ++og) {
-    const uint64_t h = other.hashes_[og];
-    const size_t s = Probe(h, [&](uint32_t g) {
-      return hashes_[g] == h && RowEq(keys_, g, theirs, og);
-    });
-    uint32_t g = slots_[s];
+    const uint64_t h = other.map_.hash(og);
+    size_t s;
+    uint32_t g = map_.Find(
+        h,
+        [&](uint32_t id) {
+          return map_.hash(id) == h && RowEq(keys_, id, theirs, og);
+        },
+        &s);
     const AggState* src = other.group_states(og);
-    if (g == kEmpty) {
+    if (g == KeyMap::kNone) {
       for (size_t k = 0; k < keys_.size(); ++k) {
         keys_[k]->AppendRange(*theirs[k], og, og + 1);
       }
@@ -288,9 +263,7 @@ Result<std::vector<BatPtr>> GroupTable::Finalize() const {
 
 size_t GroupTable::MemoryBytes() const {
   size_t total = counts_.capacity() * sizeof(uint64_t) +
-                 hashes_.capacity() * sizeof(uint64_t) +
-                 states_.capacity() * sizeof(AggState) +
-                 slots_.capacity() * sizeof(uint32_t);
+                 states_.capacity() * sizeof(AggState) + map_.MemoryBytes();
   for (const BatPtr& k : keys_) total += k->MemoryBytes();
   return total;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bat/bat.h"
+#include "bat/key_map.h"
 #include "bat/ops_aggregate.h"
 #include "util/result.h"
 
@@ -22,10 +23,10 @@ namespace dc::ops {
 /// Columnar hash table of groups with one flat AggState per (group,
 /// aggregate). It keeps the distinct key tuples as key BATs in
 /// first-appearance order, a row count per group, the states with stride
-/// num_aggs(), and each group's hash (stored at creation, so a const table
-/// can be merged from concurrently). Groups are found through an
-/// open-addressing slot array probed with the HashCombine chain over the
-/// key cells; one fixed-width key (i64/ts/f64) takes a typed probe.
+/// num_aggs(), and a KeyMap from key tuple to group id holding each
+/// group's hash (stored at creation, so a const table can be merged from
+/// concurrently). Keys hash with the HashCombine chain over their cells;
+/// one fixed-width key (i64/ts/f64) takes a typed probe.
 ///
 /// Key equality is cell equality: each NaN key is its own group, and -0.0
 /// and 0.0 share one. Folds run rows in order, then merged tables in
@@ -39,8 +40,8 @@ class GroupTable {
   GroupTable(std::vector<TypeId> key_types,
              std::vector<std::pair<AggKind, TypeId>> aggs);
 
-  /// Drops all groups and switches to a new layout; the slot array keeps
-  /// its capacity, so a reused table does not reallocate it.
+  /// Drops all groups and switches to a new layout; the key map keeps its
+  /// capacity, so a reused table does not reallocate it.
   void Reset(std::vector<TypeId> key_types,
              std::vector<std::pair<AggKind, TypeId>> aggs);
 
@@ -71,21 +72,13 @@ class GroupTable {
   }
   const std::vector<AggState>& states() const { return states_; }
 
-  /// Bytes held: key BATs, counts, hashes, states and the slot array.
+  /// Bytes held: key BATs, counts, states and the key map.
   size_t MemoryBytes() const;
 
  private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  /// Slot of the group with hash `h` for which `eq(gid)` holds, or the
-  /// empty slot where such a group belongs.
-  template <typename Eq>
-  size_t Probe(uint64_t h, const Eq& eq) const;
   /// Appends a group with hash `h` (keys appended by the caller) into
-  /// empty slot `slot`; grows the slot array past half load.
+  /// `slot`, the empty slot a failed KeyMap::Find returned.
   uint32_t AddGroup(size_t slot, uint64_t h);
-  /// Rebuilds the slot array with at least `min_slots` slots.
-  void Rehash(size_t min_slots);
   /// Row-at-a-time grouping for several keys or a bool/str key.
   void AssignGeneric(const std::vector<const Bat*>& keys,
                      std::vector<uint32_t>* gids);
@@ -97,9 +90,8 @@ class GroupTable {
   std::vector<char> minmax_;  ///< per aggregate: tracks extrema
   std::vector<BatPtr> keys_;
   std::vector<uint64_t> counts_;
-  std::vector<uint64_t> hashes_;
   std::vector<AggState> states_;
-  std::vector<uint32_t> slots_;  ///< group id per slot, or kEmpty
+  KeyMap map_;  ///< key tuple -> group id, with each group's hash
 };
 
 }  // namespace dc::ops

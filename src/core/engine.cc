@@ -57,9 +57,7 @@ int NodeStreamRel(const plan::BoundQuery& q, ExecMode mode) {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      scheduler_(Scheduler::Options{options.scheduler_workers,
-                                    options.scheduler_shards,
-                                    options.scheduler_work_stealing}) {
+      scheduler_(Scheduler::Options{options.scheduler_workers}) {
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
     wal_env_ = options_.durability.env != nullptr ? options_.durability.env

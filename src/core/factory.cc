@@ -548,7 +548,7 @@ Status Factory::FireDeltaRows(int64_t m, int64_t lfirst, int64_t rfirst,
   uint64_t old_rows[2] = {0, 0};
   for (int s = 0; s < 2; ++s) {
     exec::DeltaSideState& ds = delta_side_[s];
-    if (!delta_seeded_) ds.Reset(cq.delta_key_domain, cq.delta_key_slots[s]);
+    if (!delta_seeded_) ds.Reset(cq.join_key_domain, cq.join_key_slots[s]);
     if (nbw[s] == 1) {
       // Window == slide on this side: nothing is ever retained across
       // fires, so the whole window is the new basic window (aliased, not
@@ -637,8 +637,8 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
     expiry_dirty_[i] = 0;
   }
   if (!delta_seeded_) {
-    delta_groups_[0].Reset(cq.delta_key_domain);
-    delta_groups_[1].Reset(cq.delta_key_domain);
+    delta_groups_[0].Reset(cq.join_key_domain);
+    delta_groups_[1].Reset(cq.join_key_domain);
   }
   delta_groups_[0].EvictBefore(lfirst);
   delta_groups_[1].EvictBefore(rfirst);

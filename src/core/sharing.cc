@@ -96,7 +96,8 @@ Status SharedWindowNode::EnsureRange(int64_t lo, int64_t hi,
                                      uint64_t* rows_in) {
   MutexLock lock(mu_);
   // One table version per call: every partial this call serves joined the
-  // same snapshot, and the table's prejoin runs once per version.
+  // same snapshot, and the table's prejoin — plus, when the table is the
+  // join's build (right) side, its join hash — runs once per version.
   uint64_t version = 0;
   if (table_ != nullptr) {
     const TableVersionPtr snap = table_->Snapshot();
@@ -107,6 +108,14 @@ Status SharedWindowNode::EnsureRange(int64_t lo, int64_t hi,
           executor_->RunPrejoin(table_rel_,
                                 exec::StageInput{snap->cols, snap->NumRows()}));
       table_pre_ = exec::StageInput{std::move(pre.cols), pre.rows};
+      const plan::CompiledQuery& cq = executor_->compiled();
+      if (cq.bound.join.has_value() && table_rel_ == 1) {
+        table_hash_.Reset(cq.join_key_domain);
+        DC_RETURN_NOT_OK(
+            table_hash_.Append(*table_pre_.cols[cq.join_key_slots[1]], 0,
+                               table_pre_.rows));
+        table_pre_.index = &table_hash_;
+      }
       table_pre_version_ = version;
     }
   }
@@ -201,6 +210,7 @@ SharedNodeStats SharedWindowNode::Stats() const {
   for (const auto& [j, gp] : cache_) {
     s.cached_bytes += gp.partial->MemoryBytes();
   }
+  if (table_pre_.index != nullptr) s.cached_bytes += table_hash_.MemoryBytes();
   return s;
 }
 

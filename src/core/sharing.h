@@ -8,7 +8,8 @@
 //       matches — prefix + finish signatures, signature parameters,
 //       window geometry, execution mode — alias ONE factory; each query
 //       keeps a private emitter/sink on the shared output basket. This
-//       covers joins (one RollingJoinIndex for M identical texts).
+//       covers joins (one pair of rolling join indexes for M identical
+//       texts).
 //
 //   Tier P (prefix/partial sharing)  Every incremental query over one
 //       windowed stream whose window divides (plan::IncrementalEligible),
@@ -63,7 +64,7 @@ struct SharedNodeStats {
   uint64_t sharing_hits = 0;    // grid partials served from cache
   uint64_t tuples_in = 0;       // stream rows read for builds
   uint64_t cached_partials = 0;
-  size_t cached_bytes = 0;
+  size_t cached_bytes = 0;  // cached partials plus the table's join hash
 };
 
 /// Engine-wide sharing snapshot (monitor pane, stats assertions).
@@ -200,8 +201,11 @@ class SharedWindowNode {
 
   mutable Mutex mu_{LockRank::kSharedNode};
   std::map<int64_t, GridPartial> cache_ DC_GUARDED_BY(mu_);
-  /// The table's prejoin output, computed once per table version.
+  /// The table's prejoin output, computed once per table version. When
+  /// the table is the join's build side, table_pre_.index points at
+  /// table_hash_, built over its join key in the same step.
   exec::StageInput table_pre_ DC_GUARDED_BY(mu_);
+  ops::JoinHash table_hash_ DC_GUARDED_BY(mu_);
   std::optional<uint64_t> table_pre_version_ DC_GUARDED_BY(mu_);
   std::map<int, int64_t> subs_ DC_GUARDED_BY(mu_);  // sub id -> release mark
   int next_sub_ DC_GUARDED_BY(mu_) = 1;

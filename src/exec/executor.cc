@@ -83,8 +83,7 @@ void DeltaSideState::TrimIfWorthIt() {
 size_t DeltaSideState::MemoryBytes() const {
   size_t total = bws.size() * sizeof(std::pair<int64_t, uint64_t>);
   for (const BatPtr& c : cols) total += c->MemoryBytes();
-  total += index.next_pos() * 2 * sizeof(uint64_t);  // rough index cost
-  return total;
+  return total + index.MemoryBytes();
 }
 
 // --- DeltaGroupTrack ---------------------------------------------------------
@@ -129,8 +128,7 @@ void DeltaGroupTrack::TrimIfWorthIt() {
 
 size_t DeltaGroupTrack::MemoryBytes() const {
   return counts.size() * sizeof(uint64_t) + bw_of.size() * sizeof(int64_t) +
-         states.size() * sizeof(ops::AggState) +
-         index.next_pos() * 2 * sizeof(uint64_t);  // rough index cost
+         states.size() * sizeof(ops::AggState) + index.MemoryBytes();
 }
 
 QueryExecutor::QueryExecutor(plan::CompiledQuery cq) : cq_(std::move(cq)) {
@@ -235,7 +233,7 @@ Status QueryExecutor::BuildDeltaGroups(int side, const StageOutput& compact,
   if (!pa.eligible) {
     return Status::Internal("query has no delta pre-aggregation");
   }
-  const int key_slot = cq_.delta_key_slots[side];
+  const int key_slot = cq_.join_key_slots[side];
   if (key_slot < 0 || static_cast<size_t>(key_slot) >= compact.cols.size()) {
     return Status::Internal("delta pre-agg: bad key slot");
   }

@@ -21,7 +21,7 @@
 
 #include "bat/bat.h"
 #include "bat/ops_group.h"
-#include "bat/ops_index.h"
+#include "bat/ops_join.h"
 #include "exec/interpreter.h"
 #include "plan/compiler.h"
 #include "util/result.h"
@@ -70,8 +70,9 @@ struct DeltaSideState {
   uint64_t dead = 0;  ///< expired physical prefix rows awaiting trim
   /// (bw ordinal, row count) per live basic window, oldest first.
   std::deque<std::pair<int64_t, uint64_t>> bws;
-  /// Hash index over cols[key_slot]; positions are physical row ids.
-  ops::RollingJoinIndex index;
+  /// Rolling join hash over cols[key_slot]; positions are physical row
+  /// ids.
+  ops::JoinHash index;
   int key_slot = -1;  ///< compact slot of the join key on this side
 
   /// Drops all state and rebinds the key domain/slot (first seed fire).
@@ -109,7 +110,7 @@ struct DeltaGroupTrack {
   uint64_t dead = 0;           ///< expired group prefix awaiting trim
   /// (bw ordinal, group count) per live basic window, oldest first.
   std::deque<std::pair<int64_t, uint64_t>> bws;
-  ops::RollingJoinIndex index;  ///< over the group keys
+  ops::JoinHash index;  ///< over the group keys
 
   void Reset(TypeId key_domain);
   /// Appends one basic window's groups and indexes their keys. The pairing

@@ -110,37 +110,41 @@ struct Machine {
         regs[i.dst] = col->Gather(cand);
         return Status::OK();
       }
-      case OpCode::kJoin: {
-        DC_ASSIGN_OR_RETURN(BatPtr l, Col(i.a));
-        DC_ASSIGN_OR_RETURN(BatPtr r, Col(i.b));
-        DC_ASSIGN_OR_RETURN(ops::JoinResult jr, ops::HashJoin(*l, *r));
-        regs[i.dst] = std::make_shared<std::vector<Oid>>(std::move(jr.left));
-        regs[i.dst2] =
-            std::make_shared<std::vector<Oid>>(std::move(jr.right));
-        return Status::OK();
-      }
+      case OpCode::kJoin:
       case OpCode::kDeltaJoin: {
         DC_ASSIGN_OR_RETURN(BatPtr l, Col(i.a));
         DC_ASSIGN_OR_RETURN(BatPtr r, Col(i.b));
         if (i.rel < 0 || i.rel2 < 0 ||
             static_cast<size_t>(i.rel) >= inputs.size() ||
             static_cast<size_t>(i.rel2) >= inputs.size()) {
-          return Status::Internal("delta_join: bad input relation");
+          return Status::Internal("join: bad input relation");
         }
-        const ops::RollingJoinIndex* li = inputs[i.rel].delta_index;
-        const ops::RollingJoinIndex* ri = inputs[i.rel2].delta_index;
+        const StageInput& lin = inputs[i.rel];
+        const StageInput& rin = inputs[i.rel2];
         ops::JoinResult jr;
-        if (li != nullptr && ri != nullptr) {
-          // Indexed O(new) path: retained⋈new via the rolling indexes,
-          // new⋈new via a hash join over the new portions only.
+        if (i.op == OpCode::kDeltaJoin) {
+          // Retained⋈new via the rolling indexes, new⋈new via a hash join
+          // over the new portions only.
+          if (lin.index == nullptr || rin.index == nullptr) {
+            return Status::Internal("delta_join: input without an index");
+          }
           DC_ASSIGN_OR_RETURN(
-              jr, ops::IndexedDeltaJoin(*l, inputs[i.rel].delta_old_rows, *li,
-                                        *r, inputs[i.rel2].delta_old_rows,
-                                        *ri));
+              jr, ops::IndexedDeltaJoin(*l, lin.delta_old_rows, *lin.index,
+                                        *r, rin.delta_old_rows, *rin.index));
+        } else if (rin.index != nullptr) {
+          // Prebuilt build side: its positions are the right row ids.
+          DC_ASSIGN_OR_RETURN(TypeId domain,
+                              ops::JoinKeyDomain(l->type(), r->type()));
+          if (rin.index->key_domain() != domain ||
+              rin.index->next_pos() != r->size() ||
+              rin.index->live_from() != 0) {
+            return Status::Internal("join: index does not cover the key");
+          }
+          DC_RETURN_NOT_OK(rin.index->Probe(*l, 0, l->size(), &jr.left,
+                                            &jr.right,
+                                            /*newest_first=*/true));
         } else {
-          DC_ASSIGN_OR_RETURN(
-              jr, ops::DeltaJoin(*l, inputs[i.rel].delta_old_rows, *r,
-                                 inputs[i.rel2].delta_old_rows));
+          DC_ASSIGN_OR_RETURN(jr, ops::HashJoin(*l, *r));
         }
         regs[i.dst] = std::make_shared<std::vector<Oid>>(std::move(jr.left));
         regs[i.dst2] =

@@ -13,7 +13,7 @@
 #include "util/result.h"
 
 namespace dc::ops {
-class RollingJoinIndex;
+class JoinHash;
 }  // namespace dc::ops
 
 namespace dc::exec {
@@ -28,14 +28,15 @@ struct StageInput {
   /// portion of the window, rows at or above it belong to the newest
   /// basic window. Ignored by every other instruction.
   uint64_t delta_old_rows = 0;
-  /// Delta stages: rolling hash index covering this side's retained rows
-  /// (never the new ones). When both join inputs carry one, kDeltaJoin
-  /// probes the indexes with only the new rows (O(new) per emission)
-  /// instead of rebuilding hash tables over the concatenation; without
-  /// indexes it falls back to ops::DeltaJoin. The index may have evicted
-  /// a prefix of the retained rows (expired basic windows awaiting trim);
-  /// those rows are skipped. Borrowed pointer, valid for the call.
-  const ops::RollingJoinIndex* delta_index = nullptr;
+  /// Join hash over this input's join-key column, or null. kDeltaJoin
+  /// needs one on both inputs: a rolling index covering the retained rows
+  /// only (never the new ones), probed with the new rows of the other
+  /// side; it may have evicted a prefix of the retained rows (expired
+  /// basic windows awaiting a trim), which are skipped. kJoin probes the
+  /// right input's hash, which must cover the whole key column (a
+  /// stream⋈table node builds it once per table version), and builds one
+  /// when there is none. Borrowed pointer, valid for the call.
+  const ops::JoinHash* index = nullptr;
 };
 
 /// Stage result: output columns (in program output order) and the row

@@ -58,8 +58,8 @@ struct Instr {
   ArithOp arith = ArithOp::kAdd;
   TypeId cast_type = TypeId::kI64;
   bool lit_left = false;    // kMapArithConst: literal is the left operand
-  int rel = -1;             // kBindCol/kBindCand; kDeltaJoin: left input
-  int rel2 = -1;            // kDeltaJoin: right input (old/new split source)
+  int rel = -1;             // kBindCol/kBindCand; joins: left input
+  int rel2 = -1;            // joins: right input (its index is probed)
   int col = -1;             // kBindCol
   std::string note;         // column name etc., for rendering
 

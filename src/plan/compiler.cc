@@ -55,19 +55,21 @@ class Compiler {
       DC_RETURN_NOT_OK(CompilePrejoin(static_cast<int>(r)));
     }
     DC_RETURN_NOT_OK(CompilePostjoin(&out_.postjoin, /*delta=*/false));
+    if (q.join.has_value()) {
+      DC_ASSIGN_OR_RETURN(
+          out_.join_key_slots[0],
+          CompactSlot(q.join->left->rel, q.join->left->col));
+      DC_ASSIGN_OR_RETURN(
+          out_.join_key_slots[1],
+          CompactSlot(q.join->right->rel, q.join->right->col));
+      DC_ASSIGN_OR_RETURN(
+          out_.join_key_domain,
+          ops::JoinKeyDomain(q.join->left->type, q.join->right->type));
+    }
     if (q.join.has_value() && q.rels.size() == 2 && q.rels[0].is_stream &&
         q.rels[1].is_stream) {
       DC_RETURN_NOT_OK(CompilePostjoin(&out_.delta_postjoin, /*delta=*/true));
       out_.has_delta_postjoin = true;
-      DC_ASSIGN_OR_RETURN(
-          out_.delta_key_slots[0],
-          CompactSlot(q.join->left->rel, q.join->left->col));
-      DC_ASSIGN_OR_RETURN(
-          out_.delta_key_slots[1],
-          CompactSlot(q.join->right->rel, q.join->right->col));
-      DC_ASSIGN_OR_RETURN(
-          out_.delta_key_domain,
-          ops::JoinKeyDomain(q.join->left->type, q.join->right->type));
       BuildDeltaPreAgg();
     }
     DC_RETURN_NOT_OK(BuildFinish());
@@ -479,10 +481,8 @@ class Compiler {
       j.op = delta ? OpCode::kDeltaJoin : OpCode::kJoin;
       j.a = lkey;
       j.b = rkey;
-      if (delta) {
-        j.rel = q.join->left->rel;
-        j.rel2 = q.join->right->rel;
-      }
+      j.rel = q.join->left->rel;
+      j.rel2 = q.join->right->rel;
       j.dst = p.NewReg();
       j.dst2 = p.NewReg();
       p.instrs.push_back(j);

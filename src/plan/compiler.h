@@ -79,12 +79,13 @@ struct CompiledQuery {
   cal::Program delta_postjoin;
   bool has_delta_postjoin = false;
 
-  /// Compact slot of the delta join key per side and the equality domain
-  /// both keys meet in (ops::JoinKeyDomain) — the factory builds each
-  /// side's rolling retained-side hash index over this column. Valid iff
-  /// has_delta_postjoin.
-  int delta_key_slots[2] = {-1, -1};
-  TypeId delta_key_domain = TypeId::kI64;
+  /// Compact slot of the join key per side (the left side is relation 0)
+  /// and the equality domain both keys meet in (ops::JoinKeyDomain): the
+  /// join hashes are built over these columns — a delta join's rolling
+  /// retained-side indexes, and a stream⋈table node's table side. Valid
+  /// iff bound.join is set.
+  int join_key_slots[2] = {-1, -1};
+  TypeId join_key_domain = TypeId::kI64;
 
   /// Delta pre-aggregation push-down: when the query tail is a scalar
   /// aggregate whose arguments are bare single-side columns (or

@@ -3,7 +3,7 @@
 // Consistent checkpoints of factory progress (docs/DURABILITY.md). A
 // snapshot deliberately stores only what the WAL tail cannot recompute —
 // per-query progress cursors, shared-node origins, and the basket
-// horizons the WALs were last truncated to. Windows, RollingJoinIndex
+// horizons the WALs were last truncated to. Windows, rolling join-hash
 // contents and grid partial caches are all rebuilt by replaying basket
 // rows through the normal append path (the fuzzy-checkpoint tradeoff
 // from Li et al.'s consistent-snapshot survey: tiny checkpoint writes,

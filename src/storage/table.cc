@@ -12,7 +12,6 @@ Table::Table(std::string name, Schema schema)
     v->cols.push_back(Bat::MakeEmpty(c.type));
   }
   current_ = v;
-  hash_indexes_.resize(schema_.NumColumns());
 }
 
 uint64_t Table::NumRows() const { return Snapshot()->NumRows(); }
@@ -73,26 +72,6 @@ Status Table::AppendColumns(const std::vector<BatPtr>& cols) {
   }
   current_ = next;
   return Status::OK();
-}
-
-Result<std::shared_ptr<const HashIndex>> Table::GetHashIndex(
-    std::string_view column) {
-  DC_ASSIGN_OR_RETURN(size_t ci, schema_.Find(column));
-  TableVersionPtr snap;
-  {
-    MutexLock lock(mu_);
-    if (hash_indexes_[ci] != nullptr &&
-        hash_indexes_[ci]->version() == current_->version) {
-      return hash_indexes_[ci];
-    }
-    snap = current_;
-  }
-  // Build outside the lock; publish if still current.
-  DC_ASSIGN_OR_RETURN(auto idx, HashIndex::Build(*snap->cols[ci],
-                                                 snap->version));
-  MutexLock lock(mu_);
-  if (snap->version == current_->version) hash_indexes_[ci] = idx;
-  return idx;
 }
 
 TableBuilder::TableBuilder(Schema schema) : schema_(std::move(schema)) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bat/bat.h"
-#include "storage/index.h"
 #include "storage/schema.h"
 #include "util/result.h"
 #include "util/sync.h"
@@ -52,12 +51,6 @@ class Table {
   /// Appends a batch of rows given as columns (COW once for the batch).
   Status AppendColumns(const std::vector<BatPtr>& cols);
 
-  /// Returns (building it on first use) a hash index over `column` for the
-  /// current version. The index is version-stamped: it is rebuilt
-  /// transparently after appends.
-  Result<std::shared_ptr<const HashIndex>> GetHashIndex(
-      std::string_view column);
-
  private:
   Status CheckColumnsMatch(const std::vector<BatPtr>& cols) const;
 
@@ -66,9 +59,6 @@ class Table {
 
   mutable Mutex mu_{LockRank::kTable};
   TableVersionPtr current_ DC_GUARDED_BY(mu_);
-  // column index -> cached index (version-stamped).
-  std::vector<std::shared_ptr<const HashIndex>> hash_indexes_
-      DC_GUARDED_BY(mu_);
 };
 
 using TablePtr = std::shared_ptr<Table>;

@@ -80,7 +80,7 @@ inline std::vector<std::string> WorkloadQueries() {
       // COUNT-0/NULL convention must survive a kill-and-recover.
       "SELECT count(*), sum(v), max(v) FROM s "
       "[RANGE 2 SECONDS SLIDE 2 SECONDS]",
-      // Stream-stream delta join: RollingJoinIndex is rebuilt by replay.
+      // Stream-stream delta join: its join hashes are rebuilt by replay.
       "SELECT count(*), sum(v), sum(y) FROM s "
       "[RANGE 4 SECONDS SLIDE 2 SECONDS] JOIN "
       "r [RANGE 4 SECONDS SLIDE 2 SECONDS] ON g = kr",

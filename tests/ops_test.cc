@@ -1,5 +1,6 @@
-// Unit tests for the bulk kernel operators: select, arith maps, join,
-// group/aggregate (incl. the mergeable partial states), sort.
+// Unit tests for the bulk kernel operators: select, arith maps, join
+// (incl. the rolling join hash), group/aggregate (incl. the mergeable
+// partial states), sort.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,15 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "bat/ops_aggregate.h"
 #include "bat/ops_arith.h"
 #include "bat/ops_group.h"
-#include "bat/ops_index.h"
 #include "bat/ops_join.h"
 #include "bat/ops_select.h"
 #include "bat/ops_sort.h"
+#include "exec/executor.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -211,48 +213,6 @@ TEST(JoinTest, TypeMismatchFails) {
   EXPECT_FALSE(ops::HashJoin(*l, *r).ok());
 }
 
-// Reference check: DeltaJoin([old;new], split) must produce exactly the
-// full-join pairs that involve at least one row past the split, on each
-// side — the incremental-join invariant (new⋈old ∪ old⋈new ∪ new⋈new).
-void CheckDeltaEqualsNewFullPairs(const Bat& l, uint64_t l_old, const Bat& r,
-                                  uint64_t r_old) {
-  auto full = ops::HashJoin(l, r);
-  ASSERT_TRUE(full.ok());
-  std::multiset<std::pair<Oid, Oid>> want;
-  for (size_t i = 0; i < full->size(); ++i) {
-    if (full->left[i] >= l_old || full->right[i] >= r_old) {
-      want.emplace(full->left[i], full->right[i]);
-    }
-  }
-  auto delta = ops::DeltaJoin(l, l_old, r, r_old);
-  ASSERT_TRUE(delta.ok());
-  std::multiset<std::pair<Oid, Oid>> got;
-  for (size_t i = 0; i < delta->size(); ++i) {
-    got.emplace(delta->left[i], delta->right[i]);
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(JoinTest, DeltaJoinMatchesNewFullJoinPairs) {
-  // Duplicate keys on both sides, old and new portions both matching.
-  auto l = Bat::MakeI64({1, 2, 2, 3, 2, 1});  // old: rows 0-3, new: 4-5
-  auto r = Bat::MakeI64({2, 1, 4, 2, 1});     // old: rows 0-2, new: 3-4
-  CheckDeltaEqualsNewFullPairs(*l, 4, *r, 3);
-  // Empty old portions degenerate to a full join.
-  CheckDeltaEqualsNewFullPairs(*l, 0, *r, 3);
-  CheckDeltaEqualsNewFullPairs(*l, 4, *r, 0);
-  CheckDeltaEqualsNewFullPairs(*l, 0, *r, 0);
-  // Empty new portions: only cross-side-new pairs remain.
-  CheckDeltaEqualsNewFullPairs(*l, l->size(), *r, 3);
-  CheckDeltaEqualsNewFullPairs(*l, l->size(), *r, r->size());
-}
-
-TEST(JoinTest, DeltaJoinSplitBeyondSizeFails) {
-  auto l = Bat::MakeI64({1});
-  auto r = Bat::MakeI64({1});
-  EXPECT_FALSE(ops::DeltaJoin(*l, 2, *r, 0).ok());
-}
-
 TEST(JoinTest, JoinKeyDomain) {
   auto dom = ops::JoinKeyDomain(TypeId::kI64, TypeId::kI64);
   ASSERT_TRUE(dom.ok());
@@ -266,28 +226,53 @@ TEST(JoinTest, JoinKeyDomain) {
   EXPECT_FALSE(ops::JoinKeyDomain(TypeId::kStr, TypeId::kI64).ok());
 }
 
-// Reference check: IndexedDeltaJoin with indexes covering exactly the
-// retained (old) rows must produce the same pair multiset as the
-// non-indexed DeltaJoin over the same split.
+TEST(JoinTest, TiesComeNewestBuildRowFirst) {
+  auto l = Bat::MakeI64({2, 1});
+  auto r = Bat::MakeI64({1, 2, 1, 2, 2});
+  auto jr = ops::HashJoin(*l, *r);
+  ASSERT_TRUE(jr.ok());
+  EXPECT_EQ(jr->left, (std::vector<Oid>{0, 0, 0, 1, 1}));
+  EXPECT_EQ(jr->right, (std::vector<Oid>{4, 3, 1, 2, 0}));
+}
+
+// The delta-join invariant: the pairs of HashJoin over [old ; new] on both
+// sides that involve at least one row past a split — new⋈old ∪ old⋈new ∪
+// new⋈new — skipping pairs with a left (right) row below `l_dead`
+// (`r_dead`), as a sorted multiset.
+std::vector<std::pair<Oid, Oid>> NewPairs(const Bat& l, uint64_t l_old,
+                                          uint64_t l_dead, const Bat& r,
+                                          uint64_t r_old, uint64_t r_dead) {
+  auto full = ops::HashJoin(l, r);
+  EXPECT_TRUE(full.ok());
+  std::vector<std::pair<Oid, Oid>> out;
+  if (!full.ok()) return out;
+  for (size_t i = 0; i < full->size(); ++i) {
+    const Oid a = full->left[i], b = full->right[i];
+    if ((a >= l_old || b >= r_old) && a >= l_dead && b >= r_dead) {
+      out.emplace_back(a, b);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// IndexedDeltaJoin with indexes covering exactly the retained (old) rows
+// must produce exactly the new pairs of the full join.
 void CheckIndexedEqualsDeltaJoin(const Bat& l, uint64_t l_old, const Bat& r,
                                  uint64_t r_old) {
   auto dom = ops::JoinKeyDomain(l.type(), r.type());
   ASSERT_TRUE(dom.ok());
-  ops::RollingJoinIndex li(*dom), ri(*dom);
+  ops::JoinHash li(*dom), ri(*dom);
   ASSERT_TRUE(li.Append(l, 0, l_old).ok());
   ASSERT_TRUE(ri.Append(r, 0, r_old).ok());
   auto got = ops::IndexedDeltaJoin(l, l_old, li, r, r_old, ri);
   ASSERT_TRUE(got.ok());
-  auto want = ops::DeltaJoin(l, l_old, r, r_old);
-  ASSERT_TRUE(want.ok());
-  std::multiset<std::pair<Oid, Oid>> got_set, want_set;
+  std::vector<std::pair<Oid, Oid>> got_pairs;
   for (size_t i = 0; i < got->size(); ++i) {
-    got_set.emplace(got->left[i], got->right[i]);
+    got_pairs.emplace_back(got->left[i], got->right[i]);
   }
-  for (size_t i = 0; i < want->size(); ++i) {
-    want_set.emplace(want->left[i], want->right[i]);
-  }
-  EXPECT_EQ(got_set, want_set);
+  std::sort(got_pairs.begin(), got_pairs.end());
+  EXPECT_EQ(got_pairs, NewPairs(l, l_old, 0, r, r_old, 0));
 }
 
 TEST(JoinTest, IndexedDeltaJoinMatchesDeltaJoin) {
@@ -296,8 +281,10 @@ TEST(JoinTest, IndexedDeltaJoinMatchesDeltaJoin) {
   CheckIndexedEqualsDeltaJoin(*l, 4, *r, 3);
   // Empty retained portions (the seed fire): everything from new x new.
   CheckIndexedEqualsDeltaJoin(*l, 0, *r, 0);
-  // Empty new portions: no pairs at all.
+  CheckIndexedEqualsDeltaJoin(*l, 0, *r, 3);
+  // Empty new portions: no pairs at all, or only cross-side-new ones.
   CheckIndexedEqualsDeltaJoin(*l, l->size(), *r, r->size());
+  CheckIndexedEqualsDeltaJoin(*l, l->size(), *r, 3);
   // Mixed-type keys meet in the f64 domain.
   auto rf = Bat::MakeF64({2.0, 1.0, 4.5, 2.0, 1.0});
   CheckIndexedEqualsDeltaJoin(*l, 4, *rf, 3);
@@ -305,11 +292,15 @@ TEST(JoinTest, IndexedDeltaJoinMatchesDeltaJoin) {
   auto ls = Bat::MakeStr({"a", "b", "a", "c"});
   auto rs = Bat::MakeStr({"b", "a", "a"});
   CheckIndexedEqualsDeltaJoin(*ls, 2, *rs, 2);
+  // A split beyond the column is refused.
+  ops::JoinHash empty;
+  EXPECT_FALSE(
+      ops::IndexedDeltaJoin(*l, l->size() + 1, empty, *r, 0, empty).ok());
 }
 
 TEST(RollingJoinIndexTest, AppendProbeEvict) {
   auto keys = Bat::MakeI64({7, 8, 7, 9});
-  ops::RollingJoinIndex idx(TypeId::kI64);
+  ops::JoinHash idx(TypeId::kI64);
   ASSERT_TRUE(idx.Append(*keys, 0, keys->size()).ok());
   EXPECT_EQ(idx.next_pos(), 4u);
   EXPECT_EQ(idx.live_entries(), 4u);
@@ -334,13 +325,14 @@ TEST(RollingJoinIndexTest, RebaseShiftsPositionsWithOwnerTrim) {
   // Mirrors the factory's physical trim: DropHead on the rolling column
   // and Rebase on the index in the same step keep positions == row ids.
   auto keys = Bat::MakeStr({"x", "y", "x", "z"});
-  ops::RollingJoinIndex idx(TypeId::kStr);
+  ops::JoinHash idx(TypeId::kStr);
   ASSERT_TRUE(idx.Append(*keys, 0, keys->size()).ok());
   idx.EvictBelow(2);
   EXPECT_EQ(idx.Rebase(), 2u);
   keys->DropHead(2);
   EXPECT_EQ(idx.next_pos(), 2u);
   EXPECT_EQ(idx.dead_entries(), 0u);
+  EXPECT_EQ(idx.num_keys(), 2u);  // "y" left with its only position
 
   auto probe = Bat::MakeStr({"x", "y", "z"});
   std::vector<Oid> probe_out, pos_out;
@@ -356,7 +348,7 @@ TEST(RollingJoinIndexTest, RebaseShiftsPositionsWithOwnerTrim) {
 
 TEST(RollingJoinIndexTest, F64DomainPromotesAndNormalizesZero) {
   auto keys = Bat::MakeF64({1.0, -0.0, 2.5});
-  ops::RollingJoinIndex idx(TypeId::kF64);
+  ops::JoinHash idx(TypeId::kF64);
   ASSERT_TRUE(idx.Append(*keys, 0, keys->size()).ok());
   // i64 probe keys are promoted; +0.0 must find the indexed -0.0.
   auto probe = Bat::MakeI64({1, 0});
@@ -364,6 +356,49 @@ TEST(RollingJoinIndexTest, F64DomainPromotesAndNormalizesZero) {
   ASSERT_TRUE(idx.Probe(*probe, 0, probe->size(), &probe_out, &pos_out).ok());
   EXPECT_EQ(probe_out, (std::vector<Oid>{0, 1}));
   EXPECT_EQ(pos_out, (std::vector<Oid>{0, 1}));
+}
+
+TEST(JoinHashTest, TypeAndRangeErrors) {
+  ops::JoinHash idx(TypeId::kI64);
+  auto s = Bat::MakeStr({"a"});
+  auto i = Bat::MakeI64({1, 2});
+  EXPECT_FALSE(idx.Append(*s, 0, 1).ok());
+  EXPECT_FALSE(idx.Append(*i, 1, 3).ok());
+  std::vector<Oid> a, b;
+  EXPECT_FALSE(idx.Probe(*s, 0, 1, &a, &b).ok());
+  EXPECT_FALSE(idx.Probe(*i, 0, 3, &a, &b).ok());
+  EXPECT_EQ(idx.next_pos(), 0u);
+}
+
+// The delta indexes charge their real footprint: the key store (here
+// 1 000 distinct 100-byte strings), the key map, the chain heads and the
+// links — not a per-position guess — and Rebase gives the bytes of the
+// keys it drops back.
+TEST(JoinHashTest, MemoryBytesCoversKeysAndShrinksOnRebase) {
+  std::vector<std::string> strs;
+  for (int i = 0; i < 1000; ++i) {
+    strs.push_back(StrFormat("%04d", i) + std::string(96, 'k'));
+  }
+  auto keys = Bat::MakeStr(strs);
+
+  ops::GroupTable groups({TypeId::kStr}, {});
+  ASSERT_TRUE(groups.AddRows({keys.get()}, {}).ok());
+  exec::DeltaGroupTrack track;
+  track.Reset(TypeId::kStr);
+  ASSERT_TRUE(track.AppendGroups(0, groups).ok());
+  EXPECT_GE(track.MemoryBytes(), 100u * 1000u);
+  EXPECT_GE(track.index.MemoryBytes(), 100u * 1000u);
+
+  ops::JoinHash idx(TypeId::kStr);
+  ASSERT_TRUE(idx.Append(*keys, 0, keys->size()).ok());
+  const size_t full = idx.MemoryBytes();
+  EXPECT_GE(full, 100u * 1000u);
+  idx.EvictBelow(500);
+  EXPECT_EQ(idx.MemoryBytes(), full);  // eviction alone frees nothing
+  EXPECT_EQ(idx.Rebase(), 500u);
+  EXPECT_EQ(idx.num_keys(), 500u);
+  EXPECT_LT(idx.MemoryBytes(), full);
+  EXPECT_GE(idx.MemoryBytes(), 50u * 1000u);  // the surviving keys
 }
 
 TEST(JoinTest, FetchOids) {
@@ -941,6 +976,251 @@ TEST(GroupTableOracle, MatchesBruteForceReference) {
     EXPECT_EQ(merged.num_groups(), one_part.size()) << repro;
     for (size_t p = 0; p < parts.size(); ++p) {  // Merge left them alone
       EXPECT_EQ(RenderRows(parts[p]), part_rows[p]) << repro;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+
+// --- Join oracle -----------------------------------------------------------
+//
+// HashJoin, a rolling JoinHash and IndexedDeltaJoin against a brute-force
+// nested loop that shares none of their code. Keys cover every join
+// domain: i64 and ts (INT64_MIN/MAX, 2^53 + 1), f64 (NaN, -0.0 and 0.0,
+// 2^53), i64⋈f64 promotion, and str (empty, repeated, long); sides may be
+// empty and candidate lists are random. Seeded like the other fuzzers:
+// DC_FUZZ_SEED overrides the base seed, DC_FUZZ_ROUNDS the round count.
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+BatPtr JoinOracleColumn(Rng& rng, TypeId t, uint64_t n) {
+  static const int64_t kI64[] = {-2, -1, 0, 1, 2, 3, INT64_MIN, INT64_MAX,
+                                 kTwo53, kTwo53 + 1};
+  static const double kF64[] = {0.0, -0.0, 1.0, 2.5, -1.0, NAN,
+                                9007199254740992.0, 1e300};
+  static const std::string kLong(300, 'z');
+  const std::string strs[] = {"", "a", "ab", "b", kLong, kLong + "y"};
+  BatPtr col = Bat::MakeEmpty(t);
+  // Few distinct keys (long chains) or the whole small domain.
+  const int64_t hi = rng.Bernoulli(0.3) ? 2 : 9;
+  for (uint64_t i = 0; i < n; ++i) {
+    switch (t) {
+      case TypeId::kI64:
+      case TypeId::kTs:
+        col->AppendI64(kI64[rng.UniformInt(0, hi)]);
+        break;
+      case TypeId::kF64:
+        col->AppendF64(kF64[rng.UniformInt(0, std::min<int64_t>(hi, 7))]);
+        break;
+      case TypeId::kStr:
+        col->AppendStr(strs[rng.UniformInt(0, std::min<int64_t>(hi, 5))]);
+        break;
+      case TypeId::kBool:
+        col->AppendBool(rng.Bernoulli(0.5));
+        break;
+    }
+  }
+  return col;
+}
+
+/// SQL equality of a[i] and b[j] across the join domains.
+bool JoinKeysEqual(const Bat& a, uint64_t i, const Bat& b, uint64_t j) {
+  if (StoredAsI64(a.type()) && StoredAsI64(b.type())) {
+    return a.I64Data()[i] == b.I64Data()[j];
+  }
+  auto num = [](const Bat& c, uint64_t r) {
+    return StoredAsI64(c.type()) ? static_cast<double>(c.I64Data()[r])
+                                 : c.F64Data()[r];
+  };
+  if (a.type() == TypeId::kStr) return a.StrAt(i) == b.StrAt(j);
+  return num(a, i) == num(b, j);
+}
+
+/// Random candidates over [0, n): none (all rows), a dense range or a
+/// sorted sparse subset.
+std::optional<Candidates> RandomCandidates(Rng& rng, uint64_t n) {
+  const int kind = static_cast<int>(rng.UniformInt(0, 2));
+  if (kind == 0) return std::nullopt;
+  if (kind == 1) {
+    const auto a = static_cast<uint64_t>(
+        rng.UniformInt(0, static_cast<int64_t>(n)));
+    const auto b = static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int64_t>(a), static_cast<int64_t>(n)));
+    return Candidates::Range(a, b - a);
+  }
+  std::vector<Oid> oids;
+  for (Oid o = 0; o < n; ++o) {
+    if (rng.Bernoulli(0.5)) oids.push_back(o);
+  }
+  return Candidates::FromVector(std::move(oids));
+}
+
+std::vector<Oid> CandidateRows(const std::optional<Candidates>& c,
+                               uint64_t n) {
+  return c ? c->ToVector() : Candidates::Range(0, n).ToVector();
+}
+
+using PairList = std::vector<std::pair<Oid, Oid>>;
+
+PairList Pairs(const std::vector<Oid>& a, const std::vector<Oid>& b) {
+  PairList out;
+  for (size_t i = 0; i < a.size(); ++i) out.emplace_back(a[i], b[i]);
+  return out;
+}
+
+/// The rolling model: every position ever appended since the last rebase,
+/// as (column, row) of the key it was appended with.
+struct RollingModel {
+  std::vector<std::pair<BatPtr, uint64_t>> pos;
+  uint64_t live_from = 0;
+
+  /// Live positions equal to probe row `r` of `probe`, ascending.
+  std::vector<Oid> Matches(const Bat& probe, uint64_t r) const {
+    std::vector<Oid> out;
+    for (uint64_t p = live_from; p < pos.size(); ++p) {
+      if (JoinKeysEqual(*pos[p].first, pos[p].second, probe, r)) {
+        out.push_back(p);
+      }
+    }
+    return out;
+  }
+};
+
+TEST(JoinHashOracle, MatchesNestedLoop) {
+  uint64_t base_seed = 20261019;
+  int rounds = 200;
+  if (const char* s = std::getenv("DC_FUZZ_SEED")) {
+    base_seed = std::strtoull(s, nullptr, 10);
+  }
+  if (const char* s = std::getenv("DC_FUZZ_ROUNDS")) rounds = std::atoi(s);
+  // (left type, right type): every pair that meets in a join domain.
+  static const std::pair<TypeId, TypeId> kTypePairs[] = {
+      {TypeId::kI64, TypeId::kI64}, {TypeId::kTs, TypeId::kI64},
+      {TypeId::kI64, TypeId::kTs},  {TypeId::kF64, TypeId::kF64},
+      {TypeId::kI64, TypeId::kF64}, {TypeId::kF64, TypeId::kI64},
+      {TypeId::kTs, TypeId::kF64},  {TypeId::kStr, TypeId::kStr}};
+  for (int round = 0; round < rounds; ++round) {
+    const uint64_t seed = base_seed + static_cast<uint64_t>(round);
+    Rng rng(seed);
+    const auto [lt, rt] = kTypePairs[rng.UniformInt(0, 7)];
+    const std::string repro = StrFormat(
+        "seed %llu (%s ⋈ %s)\n"
+        "  repro: DC_FUZZ_SEED=%llu DC_FUZZ_ROUNDS=1 ./ops_test "
+        "--gtest_filter=JoinHashOracle.*",
+        static_cast<unsigned long long>(seed), TypeName(lt), TypeName(rt),
+        static_cast<unsigned long long>(seed));
+    auto domain = ops::JoinKeyDomain(lt, rt);
+    ASSERT_TRUE(domain.ok()) << repro;
+    auto size = [&] {
+      return static_cast<uint64_t>(rng.Bernoulli(0.1) ? 0
+                                                      : rng.UniformInt(1, 40));
+    };
+
+    // HashJoin: probe rows in order, ties newest build row first.
+    {
+      const uint64_t ln = size(), rn = size();
+      BatPtr l = JoinOracleColumn(rng, lt, ln);
+      BatPtr r = JoinOracleColumn(rng, rt, rn);
+      const auto lc = RandomCandidates(rng, ln);
+      const auto rc = RandomCandidates(rng, rn);
+      PairList want;
+      const std::vector<Oid> rrows = CandidateRows(rc, rn);
+      for (Oid a : CandidateRows(lc, ln)) {
+        for (auto it = rrows.rbegin(); it != rrows.rend(); ++it) {
+          if (JoinKeysEqual(*l, a, *r, *it)) want.emplace_back(a, *it);
+        }
+      }
+      auto got = ops::HashJoin(*l, *r, lc ? &*lc : nullptr,
+                               rc ? &*rc : nullptr);
+      ASSERT_TRUE(got.ok()) << repro;
+      EXPECT_EQ(Pairs(got->left, got->right), want) << repro << " HashJoin";
+    }
+
+    // Rolling JoinHash: random Append / EvictBelow / Rebase / Probe.
+    {
+      ops::JoinHash idx(*domain);
+      RollingModel model;
+      const int steps = static_cast<int>(rng.UniformInt(1, 12));
+      for (int step = 0; step < steps; ++step) {
+        switch (rng.UniformInt(0, 3)) {
+          case 0: {  // append a random slice of a fresh column
+            const uint64_t n = size();
+            BatPtr col = JoinOracleColumn(rng, rt, n);
+            const auto from = static_cast<uint64_t>(
+                rng.UniformInt(0, static_cast<int64_t>(n)));
+            ASSERT_TRUE(idx.Append(*col, from, n).ok()) << repro;
+            for (uint64_t i = from; i < n; ++i) model.pos.emplace_back(col, i);
+            break;
+          }
+          case 1: {  // evict, possibly past the end or below live_from
+            const auto p = static_cast<uint64_t>(rng.UniformInt(
+                0, static_cast<int64_t>(model.pos.size()) + 2));
+            idx.EvictBelow(p);
+            model.live_from = std::max(
+                model.live_from,
+                std::min<uint64_t>(p, model.pos.size()));
+            break;
+          }
+          case 2: {  // rebase
+            EXPECT_EQ(idx.Rebase(), model.live_from) << repro;
+            model.pos.erase(model.pos.begin(),
+                            model.pos.begin() +
+                                static_cast<int64_t>(model.live_from));
+            model.live_from = 0;
+            break;
+          }
+          default: {  // probe, both orders
+            const uint64_t n = size();
+            BatPtr probe = JoinOracleColumn(rng, lt, n);
+            const auto pc = RandomCandidates(rng, n);
+            PairList asc, desc;
+            for (Oid r : CandidateRows(pc, n)) {
+              const std::vector<Oid> m = model.Matches(*probe, r);
+              for (Oid p : m) asc.emplace_back(r, p);
+              for (auto it = m.rbegin(); it != m.rend(); ++it) {
+                desc.emplace_back(r, *it);
+              }
+            }
+            const Candidates rows = pc ? *pc : Candidates::Range(0, n);
+            std::vector<Oid> a, b, c, d;
+            ASSERT_TRUE(idx.Probe(*probe, rows, &a, &b).ok()) << repro;
+            ASSERT_TRUE(idx.Probe(*probe, rows, &c, &d, true).ok()) << repro;
+            EXPECT_EQ(Pairs(a, b), asc) << repro << " probe, step " << step;
+            EXPECT_EQ(Pairs(c, d), desc) << repro << " probe, step " << step;
+            break;
+          }
+        }
+        EXPECT_EQ(idx.next_pos(), model.pos.size()) << repro;
+        EXPECT_EQ(idx.live_from(), model.live_from) << repro;
+        if (HasFailure()) return;
+      }
+    }
+
+    // IndexedDeltaJoin == the new-row pairs of HashJoin over the whole
+    // window, with a random dead prefix on each retained side.
+    {
+      const uint64_t ln = size(), rn = size();
+      BatPtr l = JoinOracleColumn(rng, lt, ln);
+      BatPtr r = JoinOracleColumn(rng, rt, rn);
+      const auto l_old = static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ln)));
+      const auto r_old = static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(rn)));
+      const auto l_dead = static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(l_old)));
+      const auto r_dead = static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(r_old)));
+      ops::JoinHash li(*domain), ri(*domain);
+      ASSERT_TRUE(li.Append(*l, 0, l_old).ok()) << repro;
+      ASSERT_TRUE(ri.Append(*r, 0, r_old).ok()) << repro;
+      li.EvictBelow(l_dead);
+      ri.EvictBelow(r_dead);
+      auto got = ops::IndexedDeltaJoin(*l, l_old, li, *r, r_old, ri);
+      ASSERT_TRUE(got.ok()) << repro;
+      PairList got_pairs = Pairs(got->left, got->right);
+      std::sort(got_pairs.begin(), got_pairs.end());
+      EXPECT_EQ(got_pairs, NewPairs(*l, l_old, l_dead, *r, r_old, r_dead))
+          << repro << " IndexedDeltaJoin";
     }
     if (HasFailure()) return;
   }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/catalog.h"
-#include "storage/index.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -63,37 +62,6 @@ TEST(TableBuilderTest, BulkLoad) {
   auto table = std::move(b).Build("bulk");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->NumRows(), 100u);
-}
-
-TEST(HashIndexTest, IntLookup) {
-  auto col = Bat::MakeI64({5, 3, 5, 9});
-  auto idx = HashIndex::Build(*col, 1);
-  ASSERT_TRUE(idx.ok());
-  auto hits = (*idx)->Lookup(Value::I64(5));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->ToVector(), (std::vector<Oid>{0, 2}));
-  EXPECT_EQ((*idx)->Lookup(Value::I64(4))->size(), 0u);
-}
-
-TEST(HashIndexTest, StringLookupAndTypeError) {
-  auto col = Bat::MakeStr({"x", "y", "x"});
-  auto idx = HashIndex::Build(*col, 1);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ((*idx)->Lookup(Value::Str("x"))->size(), 2u);
-  EXPECT_FALSE((*idx)->Lookup(Value::F64(1.0)).ok());
-}
-
-TEST(TableIndexTest, RebuiltAfterAppend) {
-  Table t("t", TwoColSchema());
-  ASSERT_TRUE(t.AppendRow({Value::I64(7), Value::Str("a")}).ok());
-  auto idx1 = t.GetHashIndex("k");
-  ASSERT_TRUE(idx1.ok());
-  EXPECT_EQ((*idx1)->Lookup(Value::I64(7))->size(), 1u);
-  ASSERT_TRUE(t.AppendRow({Value::I64(7), Value::Str("b")}).ok());
-  auto idx2 = t.GetHashIndex("k");
-  ASSERT_TRUE(idx2.ok());
-  EXPECT_EQ((*idx2)->Lookup(Value::I64(7))->size(), 2u);
-  EXPECT_NE((*idx1)->version(), (*idx2)->version());
 }
 
 TEST(CatalogTest, RegisterAndResolve) {
