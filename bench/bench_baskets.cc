@@ -6,6 +6,9 @@
 //   * COW table append (why baskets exist: tables are read-optimized)
 //   * full append->read->advance->shrink cycle at steady state
 //   * bounded-basket producer/consumer throughput (the backpressure path)
+//   * sliding trim: per-advance cost at 30 k and 300 k resident rows,
+//     which must not grow with the resident window (the trim is amortized
+//     O(dropped); check_bench_regression.py --baskets gates the ratio)
 //
 // `--smoke` runs the suite at a tiny time budget and writes
 // BENCH_baskets.json next to the binary (the CI anti-bit-rot entry that
@@ -146,6 +149,59 @@ void BM_BasketBackpressureCycle(benchmark::State& state) {
       static_cast<double>(basket.Stats().resident_hwm_rows);
 }
 BENCHMARK(BM_BasketBackpressureCycle)->Arg(1024)->Arg(10000)->UseRealTime();
+
+Schema TrimSchema() {
+  Schema s;
+  for (int c = 0; c < 5; ++c) {
+    DC_CHECK_OK(s.AddColumn("c" + std::to_string(c), TypeId::kI64));
+  }
+  DC_CHECK_OK(s.AddColumn("name", TypeId::kStr));
+  return s;
+}
+
+void BM_BasketSlidingTrim(benchmark::State& state) {
+  // A window of state.range(0) resident rows slides by a fixed 1 000 rows
+  // per advance: append 1 000, then the reader's advance drops the oldest
+  // 1 000. The time per advance must not depend on the resident rows.
+  const uint64_t resident = state.range(0);
+  constexpr uint64_t kAdvanceRows = 1000;
+  std::vector<BatPtr> batch;
+  for (int c = 0; c < 5; ++c) {
+    std::vector<int64_t> v(kAdvanceRows);
+    for (uint64_t i = 0; i < kAdvanceRows; ++i) v[i] = int64_t(i) * (c + 1);
+    batch.push_back(Bat::MakeI64(std::move(v)));
+  }
+  auto names = Bat::MakeEmpty(TypeId::kStr);
+  for (uint64_t i = 0; i < kAdvanceRows; ++i) {
+    names->AppendStr("host-" + std::to_string(i % 500));
+  }
+  batch.push_back(names);
+  Basket basket("s", TrimSchema());
+  const int reader = basket.RegisterReader(true);
+  for (uint64_t r = 0; r < resident; r += kAdvanceRows) {
+    DC_CHECK_OK(basket.Append(batch));
+  }
+  uint64_t cursor = 0;
+  const auto advance = [&] {
+    DC_CHECK_OK(basket.Append(batch));
+    cursor += kAdvanceRows;
+    basket.AdvanceReader(reader, cursor);
+  };
+  // Warm up past the first compaction, so the columns' capacity has
+  // settled and the timed advances see the steady state.
+  for (uint64_t r = 0; r <= resident; r += kAdvanceRows) advance();
+  for (auto _ : state) advance();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kAdvanceRows));
+}
+// 600 timed advances span one or two compactions at 300 k resident rows
+// (one every 301 advances) and about twenty at 30 k; five repetitions give
+// the gate a median.
+BENCHMARK(BM_BasketSlidingTrim)
+    ->Arg(30000)
+    ->Arg(300000)
+    ->Iterations(600)
+    ->Repetitions(5);
 
 }  // namespace
 }  // namespace dc

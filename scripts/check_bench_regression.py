@@ -29,6 +29,14 @@ anything beyond that is a regression on the ingest hot path.
 fsync=interval is reported but not gated (its cost is the disk's, not
 the engine's).
 
+--baskets mode (BENCH_baskets.json): fails when a sliding basket's
+per-advance time grows with its resident rows. BM_BasketSlidingTrim
+appends and drops a fixed 1 000 rows per advance at 30 k and at 300 k
+resident rows; the median CPU time per advance at 300 k must stay within
+MAX_TRIM_RATIO (3.0) times the median at 30 k. A trim that
+moves every resident row (O(resident), 12-16x here) fails; one in
+amortized O(dropped) rows reads about 1x.
+
 Non-fatal diagnostics: the join speedup curve is expected to be
 monotonically increasing in n_bw; inversions are printed as warnings so
 noisy smoke timings do not flake CI, while the headline points stay hard
@@ -41,11 +49,20 @@ Usage: check_bench_regression.py BENCH_incremental.json [--n-bw N]
        [--max-p99-ms X]
        check_bench_regression.py BENCH_wal.json --wal
        [--max-wal-ratio X]
+       check_bench_regression.py BENCH_baskets.json --baskets
 """
 
 import argparse
 import json
+import statistics
 import sys
+
+# Google Benchmark time units, in nanoseconds.
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# --baskets: per-advance median at 300 k resident rows as a multiple of
+# the one at 30 k.
+MAX_TRIM_RATIO = 3.0
 
 
 def check_join(bench, args) -> int:
@@ -213,6 +230,47 @@ def check_wal(bench, args) -> int:
     return 0
 
 
+def check_baskets(bench, args) -> int:
+    # Per resident-row count: the CPU time of each repetition, in ns.
+    reps = {}
+    for b in bench.get("benchmarks", []):
+        parts = b.get("name", "").split("/")
+        if parts[0] != "BM_BasketSlidingTrim" or len(parts) < 2:
+            continue
+        if b.get("run_type", "iteration") != "iteration":
+            continue  # aggregates are recomputed below
+        scale = TIME_UNIT_NS.get(b.get("time_unit", "ns"))
+        if scale is None:
+            print(f"FAIL: unknown time unit in {b['name']}")
+            return 1
+        reps.setdefault(int(parts[1]), []).append(b["cpu_time"] * scale)
+
+    small, large = 30000, 300000
+    missing = [n for n in (small, large) if n not in reps]
+    if missing:
+        print(f"FAIL: no BM_BasketSlidingTrim runs at {missing} resident "
+              f"rows in {args.json_path}")
+        return 1
+    med = {n: statistics.median(reps[n]) for n in (small, large)}
+    print(f"sliding trim ({args.json_path}), per 1 000-row advance:")
+    for n in (small, large):
+        print(f"  resident={n:>6}: median {med[n] / 1e3:.1f}us over "
+              f"{len(reps[n])} reps [{min(reps[n]) / 1e3:.1f}, "
+              f"{max(reps[n]) / 1e3:.1f}]")
+    if med[small] <= 0:
+        print("FAIL: the 30 k median is not positive")
+        return 1
+    ratio = med[large] / med[small]
+    if ratio > MAX_TRIM_RATIO:
+        print(f"FAIL: an advance at 300 k resident rows costs {ratio:.2f}x "
+              f"one at 30 k, over the {MAX_TRIM_RATIO:.1f}x budget — "
+              f"the trim scales with the resident rows")
+        return 1
+    print(f"OK: 300 k / 30 k per-advance ratio {ratio:.2f}x "
+          f"(budget {MAX_TRIM_RATIO:.1f}x)")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("json_path", help="path to a BENCH_*.json artifact")
@@ -222,6 +280,8 @@ def main() -> int:
                         help="gate BENCH_linear_road.json response times")
     parser.add_argument("--wal", action="store_true",
                         help="gate BENCH_wal.json durability overhead")
+    parser.add_argument("--baskets", action="store_true",
+                        help="gate BENCH_baskets.json sliding-trim scaling")
     parser.add_argument("--max-wal-ratio", type=float, default=2.5,
                         help="fsync_never median wall budget as a multiple "
                              "of the durability-off median (default 2.5)")
@@ -246,6 +306,8 @@ def main() -> int:
         return check_linear_road(bench, args)
     if args.wal:
         return check_wal(bench, args)
+    if args.baskets:
+        return check_baskets(bench, args)
     return check_join(bench, args)
 
 

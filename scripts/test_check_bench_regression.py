@@ -14,7 +14,11 @@ that must pass, so neither the gate nor this harness is vacuous.
   a missed deadline, or no notifications at all;
 - --wal (BENCH_wal.json): a fsync=never median 4.1x durability-off
   (1.72 ms against 7.12 ms, the overhead of the byte-at-a-time codec),
-  or a run that logged no WAL records.
+  or a run that logged no WAL records;
+- --baskets (BENCH_baskets.json): a sliding trim whose advance at 300 k
+  resident rows costs 15.2x one at 30 k (425 us against 6.47 ms, the
+  erase-based trim that moved every resident row), or an artifact
+  without the 300 k runs.
 
 Usage: test_check_bench_regression.py
 """
@@ -75,6 +79,25 @@ def wal_bench(off_ms: float, never_ms: float, never_records: int) -> dict:
             "fsync_interval": section(never_ms * 1.2, never_records)}
 
 
+def baskets_bench(small_us: float, large_us: float,
+                  sizes=(30000, 300000)) -> dict:
+    runs = []
+    for n, us in zip(sizes, (small_us, large_us)):
+        name = f"BM_BasketSlidingTrim/{n}/iterations:600/repeats:5"
+        for rep in range(5):
+            t = us * 1e3 * (1.0 + 0.02 * (rep - 2))  # ns, some spread
+            runs.append({"name": name, "run_name": name,
+                         "run_type": "iteration", "repetitions": 5,
+                         "repetition_index": rep, "iterations": 600,
+                         "real_time": t, "cpu_time": t, "time_unit": "ns"})
+        runs.append({"name": name + "_median", "run_name": name,
+                     "run_type": "aggregate", "aggregate_name": "median",
+                     "real_time": us * 1e3, "cpu_time": us * 1e3,
+                     "time_unit": "ns"})
+    return {"context": {"library_build_type": "release"},
+            "benchmarks": runs}
+
+
 CASES = [
     # (mode flags, name, bench, expected to pass)
     ([], "join speedup 1.45x at n_bw=8",
@@ -103,6 +126,11 @@ CASES = [
     (["--wal"], "fsync_never logged nothing", wal_bench(10.0, 12.0, 0),
      False),
     (["--wal"], "wal within budget", wal_bench(10.0, 15.0, 205), True),
+    (["--baskets"], "erase-based trim 15.2x",
+     baskets_bench(425.0, 6474.0), False),
+    (["--baskets"], "no 300 k runs", baskets_bench(35.0, 38.0, (30000, 3000)),
+     False),
+    (["--baskets"], "baskets within budget", baskets_bench(35.0, 38.0), True),
 ]
 
 

@@ -52,6 +52,7 @@ size_t Bat::MemoryBytes() const {
 }
 
 void Bat::Reserve(uint64_t n) {
+  n += head_;
   switch (type_) {
     case TypeId::kBool:
       bools_.reserve(n);
@@ -95,7 +96,7 @@ void Bat::AppendRepeatedI64(int64_t v, uint64_t n) {
 }
 
 void Bat::AppendNull() {
-  nulls_.resize(size_, 0);
+  nulls_.resize(head_ + size_, 0);
   switch (type_) {
     case TypeId::kBool:
       bools_.push_back(0);
@@ -116,9 +117,10 @@ void Bat::AppendNull() {
 }
 
 void Bat::SetNulls(std::span<const uint8_t> flags) {
-  for (uint64_t i = 0; i < size_; ++i) {
-    if (flags[i] == 0) continue;
-    nulls_.resize(size_, 0);
+  for (uint64_t r = 0; r < size_; ++r) {
+    if (flags[r] == 0) continue;
+    const uint64_t i = head_ + r;
+    nulls_.resize(head_ + size_, 0);
     nulls_[i] = 1;
     switch (type_) {
       case TypeId::kBool:
@@ -132,7 +134,7 @@ void Bat::SetNulls(std::span<const uint8_t> flags) {
         dbls_[i] = 0;
         break;
       case TypeId::kStr:
-        if (!StrAt(i).empty()) strs_[i] = heap_.Add("");
+        if (!StrAt(r).empty()) strs_[i] = heap_.Add("");
         break;
     }
   }
@@ -162,30 +164,33 @@ void Bat::AppendValue(const Value& v) {
 }
 
 void Bat::AppendRange(const Bat& src, uint64_t from, uint64_t to) {
+  const uint64_t n = to - from;
+  const uint64_t lo = src.head_ + from;  // physical rows of src
+  const uint64_t hi = src.head_ + to;
   switch (type_) {
     case TypeId::kBool:
-      bools_.insert(bools_.end(), src.bools_.begin() + from,
-                    src.bools_.begin() + to);
+      bools_.insert(bools_.end(), src.bools_.begin() + lo,
+                    src.bools_.begin() + hi);
       break;
     case TypeId::kI64:
     case TypeId::kTs:
-      ints_.insert(ints_.end(), src.ints_.begin() + from,
-                   src.ints_.begin() + to);
+      ints_.insert(ints_.end(), src.ints_.begin() + lo,
+                   src.ints_.begin() + hi);
       break;
     case TypeId::kF64:
-      dbls_.insert(dbls_.end(), src.dbls_.begin() + from,
-                   src.dbls_.begin() + to);
+      dbls_.insert(dbls_.end(), src.dbls_.begin() + lo,
+                   src.dbls_.begin() + hi);
       break;
     case TypeId::kStr:
       for (uint64_t i = from; i < to; ++i) strs_.push_back(heap_.Add(src.StrAt(i)));
       break;
   }
-  size_ += to - from;
+  size_ += n;
   if (src.has_nulls()) {
     bool any = false;
     for (uint64_t i = from; i < to && !any; ++i) any = src.IsNull(i);
     if (any) {
-      nulls_.resize(size_ - (to - from), 0);
+      nulls_.resize(head_ + size_ - n, 0);
       for (uint64_t i = from; i < to; ++i) {
         nulls_.push_back(src.IsNull(i) ? 1 : 0);
       }
@@ -199,16 +204,17 @@ void Bat::AppendCandidates(const Bat& src, const Candidates& cand) {
     AppendRange(src, cand.first(), cand.first() + cand.size());
     return;
   }
+  const uint64_t h = src.head_;
   switch (type_) {
     case TypeId::kBool:
-      cand.ForEach([&](Oid o) { bools_.push_back(src.bools_[o]); });
+      cand.ForEach([&](Oid o) { bools_.push_back(src.bools_[h + o]); });
       break;
     case TypeId::kI64:
     case TypeId::kTs:
-      cand.ForEach([&](Oid o) { ints_.push_back(src.ints_[o]); });
+      cand.ForEach([&](Oid o) { ints_.push_back(src.ints_[h + o]); });
       break;
     case TypeId::kF64:
-      cand.ForEach([&](Oid o) { dbls_.push_back(src.dbls_[o]); });
+      cand.ForEach([&](Oid o) { dbls_.push_back(src.dbls_[h + o]); });
       break;
     case TypeId::kStr:
       cand.ForEach([&](Oid o) { strs_.push_back(heap_.Add(src.StrAt(o))); });
@@ -219,15 +225,23 @@ void Bat::AppendCandidates(const Bat& src, const Candidates& cand) {
     bool any = false;
     cand.ForEach([&](Oid o) { any = any || src.IsNull(o); });
     if (any) {
-      nulls_.resize(size_ - cand.size(), 0);
+      nulls_.resize(head_ + size_ - cand.size(), 0);
       cand.ForEach([&](Oid o) { nulls_.push_back(src.IsNull(o) ? 1 : 0); });
     }
   }
 }
 
 void Bat::DropHead(uint64_t n) {
-  if (n == 0) return;
   n = std::min(n, size_);
+  head_ += n;
+  size_ -= n;
+  // Compacting moves size_ rows, which the head_ > size_ drops since the
+  // last compaction pay for: amortized O(1) per dropped row.
+  if (head_ > size_) Compact();
+}
+
+void Bat::Compact() {
+  const uint64_t n = head_;
   switch (type_) {
     case TypeId::kBool:
       bools_.erase(bools_.begin(), bools_.begin() + n);
@@ -244,31 +258,30 @@ void Bat::DropHead(uint64_t n) {
       // grow without bound as the basket slides.
       StringHeap fresh;
       std::vector<uint64_t> offs;
-      offs.reserve(size_ - n);
-      for (uint64_t i = n; i < size_; ++i) offs.push_back(fresh.Add(StrAt(i)));
+      offs.reserve(size_);
+      for (uint64_t i = 0; i < size_; ++i) offs.push_back(fresh.Add(StrAt(i)));
       heap_ = std::move(fresh);
       strs_ = std::move(offs);
       break;
     }
   }
-  size_ -= n;
-  if (!nulls_.empty()) {
-    nulls_.erase(nulls_.begin(),
-                 nulls_.begin() + std::min<uint64_t>(n, nulls_.size()));
-  }
+  nulls_.erase(nulls_.begin(),
+               nulls_.begin() + std::min<uint64_t>(n, nulls_.size()));
+  head_ = 0;
 }
 
 Value Bat::GetValue(uint64_t i) const {
   if (IsNull(i)) return Value::Null(type_);
+  const uint64_t p = head_ + i;
   switch (type_) {
     case TypeId::kBool:
-      return Value::Bool(bools_[i] != 0);
+      return Value::Bool(bools_[p] != 0);
     case TypeId::kI64:
-      return Value::I64(ints_[i]);
+      return Value::I64(ints_[p]);
     case TypeId::kTs:
-      return Value::Ts(ints_[i]);
+      return Value::Ts(ints_[p]);
     case TypeId::kF64:
-      return Value::F64(dbls_[i]);
+      return Value::F64(dbls_[p]);
     case TypeId::kStr:
       return Value::Str(std::string(StrAt(i)));
   }

@@ -30,7 +30,9 @@ class Bat;
 /// shared handles.
 using BatPtr = std::shared_ptr<Bat>;
 
-/// A typed column with dense row ids [0, size).
+/// A typed column with dense row ids [0, size). Storage may begin with a
+/// dead prefix of `head_` dropped rows (DropHead); every accessor reads
+/// through it, so row i lives at physical index head_ + i.
 class Bat {
  public:
   /// Creates an empty column of logical type `t`.
@@ -48,11 +50,13 @@ class Bat {
   uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Approximate memory footprint in bytes (monitoring / Fig. 4 pane).
+  /// Approximate memory footprint in bytes (monitoring / Fig. 4 pane), by
+  /// capacity: a dead prefix not yet compacted away still counts.
   size_t MemoryBytes() const;
 
   // --- Appending (builders, baskets, tables) -------------------------------
 
+  /// Reserves room for `n` live rows.
   void Reserve(uint64_t n);
   void AppendBool(bool v);
   void AppendI64(int64_t v);
@@ -72,30 +76,45 @@ class Bat {
   /// Bulk-appends the candidate rows of `src`; null rows stay null.
   void AppendCandidates(const Bat& src, const Candidates& cand);
 
-  /// Drops the first `n` rows in place (basket shrink after consumption).
-  /// Row ids of survivors shift down by n. For STR columns the heap is
-  /// rebuilt to reclaim arena space.
+  /// Drops the first `n` rows (basket shrink after consumption). Row ids
+  /// of survivors shift down by n. The rows only become a dead prefix
+  /// before the head offset; the column compacts (moves its live rows
+  /// down, and rebuilds a STR heap) only once the dead prefix outgrows the
+  /// live rows. Trimming is thus amortized O(dropped), and spans and
+  /// string views stay valid across a drop that does not compact.
   void DropHead(uint64_t n);
 
   // --- Typed access ---------------------------------------------------------
 
-  std::span<const uint8_t> BoolData() const { return {bools_.data(), size_}; }
-  std::span<const int64_t> I64Data() const { return {ints_.data(), size_}; }
-  std::span<const double> F64Data() const { return {dbls_.data(), size_}; }
-  /// View of the string at row `i`; valid until the column is mutated.
-  std::string_view StrAt(uint64_t i) const { return heap_.Get(strs_[i]); }
+  std::span<const uint8_t> BoolData() const {
+    return {bools_.data() + (bools_.empty() ? 0 : head_), size_};
+  }
+  std::span<const int64_t> I64Data() const {
+    return {ints_.data() + (ints_.empty() ? 0 : head_), size_};
+  }
+  std::span<const double> F64Data() const {
+    return {dbls_.data() + (dbls_.empty() ? 0 : head_), size_};
+  }
+  /// View of the string at row `i`; valid until the column is appended to
+  /// or compacts.
+  std::string_view StrAt(uint64_t i) const {
+    return heap_.Get(strs_[head_ + i]);
+  }
 
   /// True when row `i` is SQL NULL. NULL rows store the type's zero in
   /// the typed payload, so bulk kernels that ignore the bitmap stay
   /// well-defined (documented divergence: expressions over NULL).
   bool IsNull(uint64_t i) const {
-    return i < nulls_.size() && nulls_[i] != 0;
+    return head_ + i < nulls_.size() && nulls_[head_ + i] != 0;
   }
-  /// True when any row may be NULL (the bitmap exists).
-  bool has_nulls() const { return !nulls_.empty(); }
+  /// True when any row may be NULL (the bitmap reaches a live row).
+  bool has_nulls() const { return nulls_.size() > head_; }
   /// The null bitmap, one 0/1 byte per row. It may be shorter than
   /// size() (rows past its end are non-null) and is empty without NULLs.
-  std::span<const uint8_t> NullFlags() const { return nulls_; }
+  std::span<const uint8_t> NullFlags() const {
+    if (!has_nulls()) return {};
+    return {nulls_.data() + head_, nulls_.size() - head_};
+  }
   /// Marks row i NULL for every non-zero `flags[i]` and zeroes its
   /// payload (bulk decoders); `flags` must span size() rows.
   void SetNulls(std::span<const uint8_t> flags);
@@ -115,8 +134,12 @@ class Bat {
   std::string ToString(uint64_t max_rows = 16) const;
 
  private:
+  /// Moves the live rows to the front of storage and clears head_.
+  void Compact();
+
   TypeId type_;
-  uint64_t size_;
+  uint64_t size_;  // live rows
+  uint64_t head_ = 0;  // dead prefix: rows dropped but not yet compacted
   // Exactly one of these is active, keyed by the storage class of type_.
   // (A variant would save idle capacity; empty vectors cost nothing, and
   // this keeps hot accessors branch-free.)
@@ -125,9 +148,10 @@ class Bat {
   std::vector<double> dbls_;
   std::vector<uint64_t> strs_;  // heap offsets
   StringHeap heap_;
-  // Lazy null bitmap: empty while the column has no NULLs; otherwise it
-  // may be shorter than size_ — rows beyond its end are non-null (appends
-  // through the raw typed paths never have to touch it).
+  // Lazy null bitmap, indexed physically like the payload: empty while
+  // the column has no NULLs; otherwise it may be shorter than
+  // head_ + size_ — rows beyond its end are non-null (appends through the
+  // raw typed paths never have to touch it).
   std::vector<uint8_t> nulls_;
 };
 

@@ -1,6 +1,7 @@
 #include "bat/ops_group.h"
 
 #include <algorithm>
+#include <cmath>
 #include <type_traits>
 
 #include "bat/hash.h"
@@ -59,6 +60,31 @@ bool CellsEqual(const Bat& a, uint64_t i, const Bat& b, uint64_t j) {
   return false;
 }
 
+/// The f64 columns of a key tuple, the only ones that can hold a NaN.
+std::vector<std::span<const double>> F64Keys(
+    const std::vector<const Bat*>& keys) {
+  std::vector<std::span<const double>> f64;
+  for (const Bat* k : keys) {
+    if (k->type() == TypeId::kF64) f64.push_back(k->F64Data());
+  }
+  return f64;
+}
+
+/// True when row `r`'s key tuple holds a NaN, so it matches no group.
+bool KeyHasNaN(const std::vector<std::span<const double>>& f64, uint64_t r) {
+  for (std::span<const double> d : f64) {
+    if (std::isnan(d[r])) return true;
+  }
+  return false;
+}
+
+/// Every NaN key hashes alike, yet each is a group of its own: salting its
+/// hash with its new group id spreads those groups over the slot array
+/// instead of piling them into one probe cluster.
+uint64_t SaltNaN(uint64_t h, uint64_t new_group) {
+  return HashCombine(h, HashU64(new_group));
+}
+
 /// True when group `g` of `mine` has the key tuple of row `r` of `theirs`.
 bool RowEq(const std::vector<BatPtr>& mine, uint64_t g,
            const std::vector<const Bat*>& theirs, uint64_t r) {
@@ -106,6 +132,7 @@ void GroupTable::AssignTyped(std::span<const T> data,
     const T* kd;  // re-read per row: appending a group may move it
     if constexpr (std::is_same_v<T, double>) {
       h = HashCombine(kHashSeed, HashDouble(x));
+      if (std::isnan(x)) h = SaltNaN(h, num_groups());
       kd = key.F64Data().data();
     } else {
       h = HashCombine(kHashSeed, HashI64(x));
@@ -130,8 +157,11 @@ void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
   const uint64_t n = keys[0]->size();
   std::vector<uint64_t> hs(n, kHashSeed);
   for (const Bat* k : keys) HashColumn(*k, &hs);
+  const auto f64 = F64Keys(keys);
   for (uint64_t r = 0; r < n; ++r) {
-    const uint64_t h = hs[r];
+    const uint64_t h = !f64.empty() && KeyHasNaN(f64, r)
+                           ? SaltNaN(hs[r], num_groups())
+                           : hs[r];
     size_t s;
     uint32_t g = map_.Find(
         h,
@@ -217,9 +247,13 @@ Status GroupTable::Merge(const GroupTable& other) {
   }
   std::vector<const Bat*> theirs;
   for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
+  const auto f64 = F64Keys(theirs);
   const size_t nagg = aggs_.size();
   for (uint64_t og = 0; og < other.num_groups(); ++og) {
-    const uint64_t h = other.map_.hash(og);
+    // Re-salt a NaN group: ids of different tables' NaN groups collide.
+    const uint64_t h = !f64.empty() && KeyHasNaN(f64, og)
+                           ? SaltNaN(other.map_.hash(og), num_groups())
+                           : other.map_.hash(og);
     size_t s;
     uint32_t g = map_.Find(
         h,

@@ -29,7 +29,9 @@ namespace dc::ops {
 /// one fixed-width key (i64/ts/f64) takes a typed probe.
 ///
 /// Key equality is cell equality: each NaN key is its own group, and -0.0
-/// and 0.0 share one. Folds run rows in order, then merged tables in
+/// and 0.0 share one. A NaN key's hash is salted with its group id, so
+/// NaN groups spread over the slot array rather than forming one probe
+/// cluster. Folds run rows in order, then merged tables in
 /// order, so float sums are reproducible. MIN/MAX extrema are tracked only
 /// for MIN/MAX aggregates.
 class GroupTable {

@@ -14,10 +14,12 @@ constexpr size_t kMaxWatermarkStamps = 8192;
 }  // namespace
 
 Basket::Basket(std::string name, Schema schema, size_t ts_col,
-               BasketLimits limits)
+               BasketLimits limits,
+               std::shared_ptr<monitor::HistogramMetric> trim_us)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       ts_col_(ts_col),
+      trim_us_(std::move(trim_us)),
       limits_(limits) {
   for (const ColumnDef& c : schema_.columns()) {
     cols_.push_back(Bat::MakeEmpty(c.type));
@@ -470,7 +472,9 @@ void Basket::ShrinkLocked() {
   }
   if (min_cursor > base_) {
     const uint64_t drop = min_cursor - base_;
+    const Micros start = trim_us_ != nullptr ? SteadyMicros() : 0;
     for (BatPtr& c : cols_) c->DropHead(drop);
+    if (trim_us_ != nullptr) trim_us_->Record(SteadyMicros() - start);
     base_ = min_cursor;
   }
   // Trim the batch log: an entry goes once its rows are below the drop

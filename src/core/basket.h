@@ -20,6 +20,13 @@
 //    though they carry no data (SQL-faithful empty result sets),
 //  * occupancy/throughput/stall statistics for the monitor pane.
 //
+// Trimming the consumed prefix is amortized O(dropped rows): Bat::DropHead
+// only advances each column's head offset, and a column compacts once its
+// dead prefix outgrows its live rows. Until then the dead prefix still
+// counts toward memory_bytes and the byte bound, so backpressure keeps
+// bounding memory. An engine hands each basket its `basket.trim_us`
+// histogram, which gets one sample per trim that drops rows.
+//
 // Capacity semantics: a batch is admitted whenever the basket is below its
 // bound, so occupancy may overshoot by at most one in-flight batch (this
 // guarantees progress for batches larger than the bound). When full, Append
@@ -39,10 +46,12 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bat/bat.h"
+#include "monitor/metrics.h"
 #include "storage/schema.h"
 #include "util/clock.h"
 #include "util/result.h"
@@ -115,9 +124,11 @@ class Basket {
   /// Blocking sentinel for Append's timeout parameter.
   static constexpr Micros kBlockForever = -1;
 
-  /// `ts_col` designates the event-time column, or SIZE_MAX.
+  /// `ts_col` designates the event-time column, or SIZE_MAX. `trim_us`,
+  /// when set, records the µs of every trim that drops rows.
   Basket(std::string name, Schema schema, size_t ts_col = SIZE_MAX,
-         BasketLimits limits = {});
+         BasketLimits limits = {},
+         std::shared_ptr<monitor::HistogramMetric> trim_us = nullptr);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -306,6 +317,7 @@ class Basket {
   const std::string name_;
   const Schema schema_;
   const size_t ts_col_;
+  const std::shared_ptr<monitor::HistogramMetric> trim_us_;
 
   mutable Mutex mu_{LockRank::kBasket};
   CondVar space_cv_;  // pulsed when readers free space

@@ -177,7 +177,8 @@ Status Engine::ExecuteOne(const sql::Statement& stmt) {
     }
     DC_RETURN_NOT_OK(catalog_.RegisterStream(def));
     auto basket = std::make_shared<Basket>(create.name, schema, def.ts_column,
-                                           options_.basket_limits);
+                                           options_.basket_limits,
+                                           basket_trim_us_);
     // No broadcast listener here: the scheduler attaches a targeted arc
     // per continuous query reading this basket (SubmitContinuous).
     {
@@ -502,8 +503,8 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     while (out_schema.Has(col)) col += "_";
     DC_RETURN_NOT_OK(out_schema.AddColumn(col, out_types[i]));
   }
-  entry.out_basket =
-      std::make_shared<Basket>(name + ".out", out_schema);
+  entry.out_basket = std::make_shared<Basket>(
+      name + ".out", out_schema, SIZE_MAX, BasketLimits{}, basket_trim_us_);
 
   // Recovery: position the factory at its logged progress BEFORE the
   // scheduler can see it — a worker firing against pre-restore origins

@@ -336,6 +336,10 @@ class Engine {
   /// ranks), hence usable under any engine lock; mutable so const
   /// introspection can resolve handles.
   mutable monitor::MetricsRegistry metrics_;
+  /// One sample per basket trim that drops rows, shared by every basket
+  /// this engine creates.
+  const std::shared_ptr<monitor::HistogramMetric> basket_trim_us_ =
+      metrics_.GetHistogram("basket.trim_us");
 
   // --- Durability state (docs/DURABILITY.md) ---
   /// Non-null iff durability is on AND usable (bring-up failures leave

@@ -16,6 +16,21 @@ int RelSlot(const plan::BoundQuery& q, bool stream) {
   return -1;
 }
 
+// Bytes of the columns of `cols` that are not in `shared`, each counted
+// once.
+size_t OwnedBytes(const std::vector<BatPtr>& cols,
+                  const std::vector<BatPtr>& shared) {
+  size_t total = 0;
+  for (auto it = cols.begin(); it != cols.end(); ++it) {
+    const auto same = [&](const BatPtr& b) { return b == *it; };
+    if (std::none_of(shared.begin(), shared.end(), same) &&
+        std::none_of(cols.begin(), it, same)) {
+      total += (*it)->MemoryBytes();
+    }
+  }
+  return total;
+}
+
 }  // namespace
 
 Result<exec::StageInput> ReadWindowExtent(const Basket& basket,
@@ -108,6 +123,7 @@ Status SharedWindowNode::EnsureRange(int64_t lo, int64_t hi,
           executor_->RunPrejoin(table_rel_,
                                 exec::StageInput{snap->cols, snap->NumRows()}));
       table_pre_ = exec::StageInput{std::move(pre.cols), pre.rows};
+      table_pre_bytes_ = OwnedBytes(table_pre_.cols, snap->cols);
       const plan::CompiledQuery& cq = executor_->compiled();
       if (cq.bound.join.has_value() && table_rel_ == 1) {
         table_hash_.Reset(cq.join_key_domain);
@@ -210,6 +226,7 @@ SharedNodeStats SharedWindowNode::Stats() const {
   for (const auto& [j, gp] : cache_) {
     s.cached_bytes += gp.partial->MemoryBytes();
   }
+  s.cached_bytes += table_pre_bytes_;
   if (table_pre_.index != nullptr) s.cached_bytes += table_hash_.MemoryBytes();
   return s;
 }

@@ -64,7 +64,9 @@ struct SharedNodeStats {
   uint64_t sharing_hits = 0;    // grid partials served from cache
   uint64_t tuples_in = 0;       // stream rows read for builds
   uint64_t cached_partials = 0;
-  size_t cached_bytes = 0;  // cached partials plus the table's join hash
+  // Cached partials plus the table side: the prejoin's own columns (not
+  // those it shares with the table snapshot) and the join hash.
+  size_t cached_bytes = 0;
 };
 
 /// Engine-wide sharing snapshot (monitor pane, stats assertions).
@@ -205,6 +207,8 @@ class SharedWindowNode {
   /// the table is the join's build side, table_pre_.index points at
   /// table_hash_, built over its join key in the same step.
   exec::StageInput table_pre_ DC_GUARDED_BY(mu_);
+  /// Bytes of the table_pre_ columns the prejoin made (not the snapshot's).
+  size_t table_pre_bytes_ DC_GUARDED_BY(mu_) = 0;
   ops::JoinHash table_hash_ DC_GUARDED_BY(mu_);
   std::optional<uint64_t> table_pre_version_ DC_GUARDED_BY(mu_);
   std::map<int, int64_t> subs_ DC_GUARDED_BY(mu_);  // sub id -> release mark

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/basket.h"
 #include "core/window.h"
@@ -282,6 +285,92 @@ TEST(BasketTest, ListenersFire) {
 }
 
 // --- WindowMath -------------------------------------------------------------
+
+// A sliding basket: 300 k resident rows, 1/12 of them dropped per advance
+// (the slide of a 12-basic-window window). A trim only advances each
+// column's head offset, so memory_bytes keeps counting the dead prefix and
+// never falls on a trim that moves no row; a column compacts once its dead
+// prefix outgrows its live rows, and only then does memory_bytes fall.
+// Read and SeqRangeForTs see exactly the live rows throughout.
+TEST(BasketTest, SlidingTrimKeepsReadsAndFootprint) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddColumn("ts", TypeId::kTs).ok());
+  ASSERT_TRUE(schema.AddColumn("v", TypeId::kI64).ok());
+  ASSERT_TRUE(schema.AddColumn("name", TypeId::kStr).ok());
+  const auto name_of = [](uint64_t seq) {
+    return "n" + std::to_string(seq % 97);
+  };
+  const auto batch = [&](uint64_t from, uint64_t n) {
+    std::vector<int64_t> ts(n), v(n);
+    auto names = Bat::MakeEmpty(TypeId::kStr);
+    for (uint64_t i = 0; i < n; ++i) {
+      ts[i] = static_cast<int64_t>(from + i) * 10;
+      v[i] = static_cast<int64_t>((from + i) * 7 % 1000003);
+      names->AppendStr(name_of(from + i));
+    }
+    return std::vector<BatPtr>{Bat::MakeTs(std::move(ts)),
+                               Bat::MakeI64(std::move(v)), names};
+  };
+  constexpr uint64_t kResident = 300000;
+  constexpr uint64_t kSlide = kResident / 12;
+  Basket b("s", schema, 0);
+  const int reader = b.RegisterReader(true);
+  ASSERT_TRUE(b.Append(batch(0, kResident)).ok());
+  uint64_t high = kResident;
+  uint64_t dead = 0;  // the compaction rule, modeled
+  int compactions = 0;
+  for (int advance = 0; advance < 30; ++advance) {
+    ASSERT_TRUE(b.Append(batch(high, kSlide)).ok());
+    high += kSlide;
+    const size_t before = b.Stats().memory_bytes;
+    b.AdvanceReader(reader, high - kResident);
+    const BasketStats st = b.Stats();
+    const uint64_t lo = high - kResident;
+    ASSERT_EQ(b.DropHorizon(), lo);
+    ASSERT_EQ(st.resident_rows, kResident);
+    dead += kSlide;
+    const bool compacted = dead > kResident;
+    if (compacted) {
+      dead = 0;
+      ++compactions;
+    }
+    EXPECT_EQ(st.memory_bytes < before, compacted) << "advance " << advance;
+
+    // A compact copy of the live rows bounds the footprint from below; the
+    // dead prefix (at most the live rows) and vector growth stay within a
+    // constant factor of it, so the byte bound still bounds memory.
+    if (advance % 6 == 0) {
+      const BasketView all = b.Read(0);
+      ASSERT_EQ(all.first_seq, lo);
+      ASSERT_EQ(all.rows, kResident);
+      size_t compact_bytes = 0;
+      for (const BatPtr& c : all.cols) compact_bytes += c->MemoryBytes();
+      EXPECT_GE(st.memory_bytes, compact_bytes) << "advance " << advance;
+      EXPECT_LE(st.memory_bytes, 5 * compact_bytes) << "advance " << advance;
+    }
+
+    for (const uint64_t from : {lo, lo + 12345, high - 700}) {
+      const BasketView view = b.Read(from, 1000);
+      ASSERT_EQ(view.first_seq, from);
+      ASSERT_EQ(view.rows, std::min<uint64_t>(1000, high - from));
+      for (uint64_t i = 0; i < view.rows; ++i) {
+        const uint64_t seq = from + i;
+        ASSERT_EQ(view.cols[0]->I64Data()[i], static_cast<int64_t>(seq) * 10);
+        ASSERT_EQ(view.cols[1]->I64Data()[i],
+                  static_cast<int64_t>(seq * 7 % 1000003));
+        ASSERT_EQ(view.cols[2]->StrAt(i), name_of(seq)) << seq;
+      }
+    }
+    auto range = b.SeqRangeForTs(static_cast<Micros>(lo + 100) * 10,
+                                 static_cast<Micros>(lo + 200) * 10 + 5);
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ(*range, std::make_pair(lo + 100, lo + 201));
+    range = b.SeqRangeForTs(0, static_cast<Micros>(high) * 10);
+    ASSERT_TRUE(range.ok());
+    EXPECT_EQ(*range, std::make_pair(lo, high));
+  }
+  EXPECT_EQ(compactions, 2);  // at the 13th and the 26th advance
+}
 
 TEST(WindowMathTest, RowsWindows) {
   plan::WindowSpec spec;

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
+#include "bat/ops_join.h"
 #include "tests/test_util.h"
 #include "util/string_util.h"
 
@@ -318,6 +320,54 @@ TEST(EngineNodeTest, IncrementalWindowsRunOnNodesWithSharingOnAndOff) {
     EXPECT_TRUE(engine.GetSharingStats().nodes.empty());
     EXPECT_EQ(engine.StreamStats("s")->readers, 0u);
   }
+}
+
+// A stream-table node's footprint counts the table side it keeps: the
+// prejoin's copy of the table columns the query needs, next to its
+// cached partials and the table's join hash.
+TEST(EngineNodeTest, StreamTableNodeCountsItsTablePrejoin) {
+  constexpr int64_t kHosts = 20000;
+  Engine engine(testutil::SyncOptions());
+  ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, src int, v int);"
+                             "CREATE TABLE hosts (ip int, asn int, region int)")
+                  .ok());
+  std::vector<int64_t> ip(kHosts), asn(kHosts), region(kHosts);
+  for (int64_t i = 0; i < kHosts; ++i) {
+    ip[i] = i;
+    asn[i] = i % 97;
+    region[i] = i % 5;
+  }
+  auto hosts = engine.catalog().GetTable("hosts");
+  ASSERT_TRUE(hosts.ok());
+  ASSERT_TRUE((*hosts)
+                  ->AppendColumns({Bat::MakeI64(std::move(ip)),
+                                   Bat::MakeI64(std::move(asn)),
+                                   Bat::MakeI64(std::move(region))})
+                  .ok());
+  auto id = engine.SubmitContinuous(
+      "SELECT asn, count(*) FROM s [RANGE 4 SECONDS SLIDE 2 SECONDS] "
+      "JOIN hosts ON s.src = hosts.ip WHERE hosts.region < 4 GROUP BY asn");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine
+                    .PushRow("s", {Value::Ts(i * kMicrosPerSecond),
+                                   Value::I64(i * 7), Value::I64(i)})
+                    .ok());
+    engine.Pump();
+  }
+  // The filtered prejoin keeps the ip and asn cells of 4/5 of the hosts,
+  // and the join hash is built over those ips.
+  std::vector<int64_t> kept;
+  for (int64_t i = 0; i < kHosts; ++i) {
+    if (i % 5 < 4) kept.push_back(i);
+  }
+  const size_t prejoin_bytes = 2 * kept.size() * sizeof(int64_t);
+  ops::JoinHash hash;
+  hash.Reset(TypeId::kI64);
+  ASSERT_TRUE(hash.Append(*Bat::MakeI64(kept), 0, kept.size()).ok());
+  const SharingStats ss = engine.GetSharingStats();
+  ASSERT_EQ(ss.nodes.size(), 1u);
+  EXPECT_GE(ss.nodes[0].cached_bytes, prejoin_bytes + hash.MemoryBytes());
 }
 
 TEST(EngineConcurrencyTest, TakeResultsRacesRemoveContinuous) {

@@ -1,15 +1,19 @@
 // Unit tests for src/monitor/metrics.h: handle semantics (create-on-first-
 // use, shared handles, Remove keeps handles valid), snapshot collection,
-// and the JSON / Prometheus exposition formats.
+// and the JSON / Prometheus exposition formats; and the metrics an engine
+// serves from its own registry with no AnalysisPane attached.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "monitor/metrics.h"
+#include "tests/test_util.h"
 
 namespace dc::monitor {
 namespace {
@@ -146,6 +150,35 @@ TEST(MetricsRegistryTest, GlobalIsASingleton) {
   MetricsRegistry& a = MetricsRegistry::Global();
   MetricsRegistry& b = MetricsRegistry::Global();
   EXPECT_EQ(&a, &b);
+}
+
+// basket.trim_us is resolved when the engine is built, so it is served
+// with no pane, and gets one sample per basket trim that drops rows.
+class EngineMetricsTest : public testutil::SyncEngineTest {};
+
+std::optional<MetricSnapshot> FindMetric(const MetricsRegistry& registry,
+                                         const std::string& name) {
+  for (MetricSnapshot& m : registry.Collect()) {
+    if (m.name == name) return std::move(m);
+  }
+  return std::nullopt;
+}
+
+TEST_F(EngineMetricsTest, BasketTrimHistogramWithoutPane) {
+  const auto before = FindMetric(engine_.metrics(), "basket.trim_us");
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->kind, MetricSnapshot::Kind::kHistogram);
+  EXPECT_EQ(before->hist.count(), 0u);
+
+  Exec("CREATE STREAM s (v int)");
+  const int qid = Submit("SELECT v FROM s WHERE v > 1");
+  for (int i = 0; i < 5; ++i) PushPump("s", {Value::I64(i)});
+  EXPECT_EQ(Take(qid).size(), 5u);
+  // Each fire's advance trims the stream basket (and each delivery the
+  // output basket's non-empty batches).
+  const auto after = FindMetric(engine_.metrics(), "basket.trim_us");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_GE(after->hist.count(), 5u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <map>
@@ -484,6 +485,67 @@ TEST(GroupTableTest, NullKeyIsRefused) {
   const Status s = t.AddRows({key.get()}, {nullptr});
   EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
   EXPECT_EQ(t.num_groups(), 0u);
+}
+
+// Each NaN key is its own group, yet every NaN hashes alike. Salting a
+// NaN key's hash with its group id keeps grouping them linear on the typed
+// f64 probe, the generic multi-key probe and Merge, where partials' NaN
+// groups share ids. Unsalted, the NaN groups formed one probe cluster:
+// O(n^2), tens of seconds for 200 000 NaN keys.
+TEST(GroupTableTest, NaNKeysGroupInLinearTime) {
+  constexpr uint64_t kRows = 200000;
+  constexpr uint64_t kPartRows = 10;
+  const std::vector<std::pair<AggKind, TypeId>> count{
+      {AggKind::kCount, TypeId::kI64}};
+  auto tag = Bat::MakeI64(std::vector<int64_t>(kRows, 7));
+  // Groups kRows distinct keys three ways: the typed f64 probe, the
+  // generic multi-key probe, and Merge of kPartRows-group partials.
+  // `key(i)` gives the i-th key; returns the seconds taken.
+  auto group_all = [&](auto key) {
+    std::vector<double> vals(kRows);
+    for (uint64_t i = 0; i < kRows; ++i) vals[i] = key(i);
+    auto col = Bat::MakeF64(vals);
+    const auto start = std::chrono::steady_clock::now();
+    ops::GroupTable typed({TypeId::kF64}, count);
+    EXPECT_TRUE(typed.AddRows({col.get()}, {nullptr}).ok());
+    EXPECT_EQ(typed.num_groups(), kRows);
+    ops::GroupTable generic({TypeId::kI64, TypeId::kF64}, count);
+    EXPECT_TRUE(generic.AddRows({tag.get(), col.get()}, {nullptr}).ok());
+    EXPECT_EQ(generic.num_groups(), kRows);
+    ops::GroupTable merged({TypeId::kF64}, count);
+    for (uint64_t p = 0; p < kRows / kPartRows; ++p) {
+      auto slice = col->Slice(p * kPartRows, (p + 1) * kPartRows);
+      ops::GroupTable part({TypeId::kF64}, count);
+      EXPECT_TRUE(part.AddRows({slice.get()}, {nullptr}).ok());
+      EXPECT_TRUE(merged.Merge(part).ok());
+    }
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_EQ(merged.num_groups(), kRows);
+    auto cols = merged.Finalize();
+    EXPECT_TRUE(cols.ok());
+    if (cols.ok()) {
+      const double last = (*cols)[0]->F64Data()[kRows - 1];
+      EXPECT_TRUE(last == key(kRows - 1) ||
+                  (std::isnan(last) && std::isnan(key(kRows - 1))));
+      EXPECT_EQ((*cols)[1]->I64Data()[kRows - 1], 1);
+    }
+    return secs;
+  };
+  auto finite = [](uint64_t i) { return static_cast<double>(i); };
+  auto nan = [](uint64_t) { return static_cast<double>(NAN); };
+
+  // Relative to distinct finite keys, so a slow build or a loaded machine
+  // scales both sides; one probe cluster of NaN keys reads thousands of
+  // times slower here. Best of two runs each damps scheduling noise.
+  double finite_s = 1e9, nan_s = 1e9;
+  for (int rep = 0; rep < 2; ++rep) {
+    finite_s = std::min(finite_s, group_all(finite));
+    nan_s = std::min(nan_s, group_all(nan));
+  }
+  EXPECT_LT(nan_s, 10 * finite_s)
+      << "NaN keys " << nan_s << " s, finite keys " << finite_s << " s";
 }
 
 TEST(AggStateTest, ScalarAggregates) {
