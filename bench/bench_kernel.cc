@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bat/ops_aggregate.h"
 #include "bat/ops_arith.h"
 #include "bat/ops_group.h"
 #include "bat/ops_join.h"
@@ -193,13 +192,70 @@ void BM_GroupTableMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupTableMerge)->Unit(benchmark::kMicrosecond);
 
+// The per-basic-window partial build of an incremental GROUP BY, in
+// BM_GroupTableMerge's shape (12.5 k Zipf rows over 5 000 source hosts),
+// with three aggregate layouts: 0 = keys only, 1 = count(*) + sum(i64),
+// 2 = min + max(i64). The states are flat typed columns, so folding the
+// aggregates costs a small multiple of building the keys;
+// check_bench_regression.py --grouping gates layouts 1 and 2 against 0 on
+// the medians of the repetitions.
+void BM_GroupTableFold(benchmark::State& state) {
+  constexpr uint64_t kRows = 12500;
+  ZipfGenerator zipf(5000, 0.99, 10);
+  std::vector<int64_t> src(kRows);
+  for (int64_t& x : src) x = static_cast<int64_t>(zipf.Next());
+  auto keys = Bat::MakeI64(std::move(src));
+  auto bytes = RandomI64(kRows, 40, 1500, 11);
+  std::vector<std::pair<ops::AggKind, TypeId>> aggs;
+  std::vector<const Bat*> values;
+  switch (state.range(0)) {
+    case 1:
+      aggs = {{ops::AggKind::kCount, TypeId::kI64},
+              {ops::AggKind::kSum, TypeId::kI64}};
+      values = {nullptr, bytes.get()};
+      state.SetLabel("count+sum");
+      break;
+    case 2:
+      aggs = {{ops::AggKind::kMin, TypeId::kI64},
+              {ops::AggKind::kMax, TypeId::kI64}};
+      values = {bytes.get(), bytes.get()};
+      state.SetLabel("min+max");
+      break;
+    default:
+      state.SetLabel("keys only");
+      break;
+  }
+  // One table reset per iteration, as the delta pre-aggregation reuses
+  // its per-side tables: the key map keeps its slots, so the timings
+  // compare folds rather than allocator behaviour.
+  ops::GroupTable partial;
+  for (auto _ : state) {
+    partial.Reset({TypeId::kI64}, aggs);
+    benchmark::DoNotOptimize(partial.AddRows({keys.get()}, values).ok());
+    benchmark::DoNotOptimize(partial.num_groups());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_GroupTableFold)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond)
+    ->Repetitions(5);
+
 void BM_ScalarAggregate(benchmark::State& state) {
   const uint64_t n = 1 << 20;
   auto col = RandomF64(n, 8);
+  const std::vector<std::pair<ops::AggKind, TypeId>> aggs{
+      {ops::AggKind::kSum, TypeId::kF64},
+      {ops::AggKind::kMin, TypeId::kF64},
+      {ops::AggKind::kMax, TypeId::kF64}};
   for (auto _ : state) {
-    ops::AggState st;
-    st.AddColumn(*col, nullptr);
-    benchmark::DoNotOptimize(st.dsum);
+    ops::GroupTable st({}, aggs);
+    benchmark::DoNotOptimize(
+        st.AddRows(n, {col.get(), col.get(), col.get()}).ok());
+    benchmark::DoNotOptimize(st.states().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));

@@ -37,6 +37,15 @@ MAX_TRIM_RATIO (3.0) times the median at 30 k. A trim that
 moves every resident row (O(resident), 12-16x here) fails; one in
 amortized O(dropped) rows reads about 1x.
 
+--grouping mode (BENCH_kernel.json): fails when folding aggregates into
+a grouped partial costs more than a small multiple of building its keys.
+BM_GroupTableFold builds one basic-window partial of 12.5 k Zipf rows
+over 5 000 groups with three layouts: keys only (0), count(*) + sum(i64)
+(1) and min + max(i64) (2). The median CPU time of layouts 1 and 2 must
+each stay within MAX_FOLD_RATIO (2.5) times the keys-only median. States
+held as boxed values read 2.9-4.8x and 5.9-9.6x here; flat typed state
+columns read 1.2-1.5x.
+
 Non-fatal diagnostics: the join speedup curve is expected to be
 monotonically increasing in n_bw; inversions are printed as warnings so
 noisy smoke timings do not flake CI, while the headline points stay hard
@@ -50,6 +59,7 @@ Usage: check_bench_regression.py BENCH_incremental.json [--n-bw N]
        check_bench_regression.py BENCH_wal.json --wal
        [--max-wal-ratio X]
        check_bench_regression.py BENCH_baskets.json --baskets
+       check_bench_regression.py BENCH_kernel.json --grouping
 """
 
 import argparse
@@ -63,6 +73,12 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # --baskets: per-advance median at 300 k resident rows as a multiple of
 # the one at 30 k.
 MAX_TRIM_RATIO = 3.0
+
+# --grouping: each aggregate layout's fold median as a multiple of the
+# keys-only median.
+MAX_FOLD_RATIO = 2.5
+FOLD_LAYOUTS = {0: "keys only", 1: "count(*) + sum(i64)",
+                2: "min + max(i64)"}
 
 
 def check_join(bench, args) -> int:
@@ -230,20 +246,31 @@ def check_wal(bench, args) -> int:
     return 0
 
 
-def check_baskets(bench, args) -> int:
-    # Per resident-row count: the CPU time of each repetition, in ns.
+def repetition_times(bench, name):
+    """CPU time in ns of each repetition of benchmark `name`, keyed by its
+    first argument, or None after printing why the artifact is unusable.
+    Google Benchmark's own aggregates are skipped; medians are recomputed
+    from the repetitions."""
     reps = {}
     for b in bench.get("benchmarks", []):
         parts = b.get("name", "").split("/")
-        if parts[0] != "BM_BasketSlidingTrim" or len(parts) < 2:
+        if parts[0] != name or len(parts) < 2:
             continue
         if b.get("run_type", "iteration") != "iteration":
-            continue  # aggregates are recomputed below
+            continue
         scale = TIME_UNIT_NS.get(b.get("time_unit", "ns"))
         if scale is None:
             print(f"FAIL: unknown time unit in {b['name']}")
-            return 1
+            return None
         reps.setdefault(int(parts[1]), []).append(b["cpu_time"] * scale)
+    return reps
+
+
+def check_baskets(bench, args) -> int:
+    # Per resident-row count: the CPU time of each repetition, in ns.
+    reps = repetition_times(bench, "BM_BasketSlidingTrim")
+    if reps is None:
+        return 1
 
     small, large = 30000, 300000
     missing = [n for n in (small, large) if n not in reps]
@@ -271,6 +298,39 @@ def check_baskets(bench, args) -> int:
     return 0
 
 
+def check_grouping(bench, args) -> int:
+    # Per layout: the CPU time of each repetition, in ns.
+    reps = repetition_times(bench, "BM_GroupTableFold")
+    if reps is None:
+        return 1
+    missing = [n for n in FOLD_LAYOUTS if n not in reps]
+    if missing:
+        print(f"FAIL: no BM_GroupTableFold runs for layouts {missing} in "
+              f"{args.json_path}")
+        return 1
+    med = {n: statistics.median(reps[n]) for n in FOLD_LAYOUTS}
+    print(f"grouped partial build ({args.json_path}), 12.5 k rows:")
+    for n, label in FOLD_LAYOUTS.items():
+        print(f"  {label:>20}: median {med[n] / 1e3:.1f}us over "
+              f"{len(reps[n])} reps [{min(reps[n]) / 1e3:.1f}, "
+              f"{max(reps[n]) / 1e3:.1f}]")
+    if med[0] <= 0:
+        print("FAIL: the keys-only median is not positive")
+        return 1
+    failed = False
+    for n in (1, 2):
+        ratio = med[n] / med[0]
+        if ratio > MAX_FOLD_RATIO:
+            print(f"FAIL: folding {FOLD_LAYOUTS[n]} costs {ratio:.2f}x the "
+                  f"keys-only build, over the {MAX_FOLD_RATIO:.1f}x budget "
+                  f"— the aggregate states are no longer flat")
+            failed = True
+        else:
+            print(f"OK: {FOLD_LAYOUTS[n]} {ratio:.2f}x the keys-only build "
+                  f"(budget {MAX_FOLD_RATIO:.1f}x)")
+    return 1 if failed else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("json_path", help="path to a BENCH_*.json artifact")
@@ -282,6 +342,8 @@ def main() -> int:
                         help="gate BENCH_wal.json durability overhead")
     parser.add_argument("--baskets", action="store_true",
                         help="gate BENCH_baskets.json sliding-trim scaling")
+    parser.add_argument("--grouping", action="store_true",
+                        help="gate BENCH_kernel.json aggregate fold cost")
     parser.add_argument("--max-wal-ratio", type=float, default=2.5,
                         help="fsync_never median wall budget as a multiple "
                              "of the durability-off median (default 2.5)")
@@ -308,6 +370,8 @@ def main() -> int:
         return check_wal(bench, args)
     if args.baskets:
         return check_baskets(bench, args)
+    if args.grouping:
+        return check_grouping(bench, args)
     return check_join(bench, args)
 
 

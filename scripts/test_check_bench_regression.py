@@ -18,7 +18,11 @@ that must pass, so neither the gate nor this harness is vacuous.
 - --baskets (BENCH_baskets.json): a sliding trim whose advance at 300 k
   resident rows costs 15.2x one at 30 k (425 us against 6.47 ms, the
   erase-based trim that moved every resident row), or an artifact
-  without the 300 k runs.
+  without the 300 k runs;
+- --grouping (BENCH_kernel.json): folding count(*) + sum into a grouped
+  partial at 4.8x the keys-only build, or min + max at 6.2x (the boxed
+  aggregate states), or an artifact without the min + max layout; flat
+  states at 1.5x pass.
 
 Usage: test_check_bench_regression.py
 """
@@ -98,6 +102,26 @@ def baskets_bench(small_us: float, large_us: float,
             "benchmarks": runs}
 
 
+def fold_bench(keys_us: float, ratios: dict) -> dict:
+    """BM_GroupTableFold repetitions: layout 0 at `keys_us`, layout n at
+    `ratios[n]` times that."""
+    runs = []
+    for layout, ratio in [(0, 1.0)] + sorted(ratios.items()):
+        us = keys_us * ratio
+        name = f"BM_GroupTableFold/{layout}/repeats:5"
+        for rep in range(5):
+            t = us * (1.0 + 0.03 * (rep - 2))  # some spread
+            runs.append({"name": name, "run_name": name,
+                         "run_type": "iteration", "repetitions": 5,
+                         "repetition_index": rep, "iterations": 300,
+                         "real_time": t, "cpu_time": t, "time_unit": "us"})
+        runs.append({"name": name + "_median", "run_name": name,
+                     "run_type": "aggregate", "aggregate_name": "median",
+                     "real_time": us, "cpu_time": us, "time_unit": "us"})
+    return {"context": {"library_build_type": "release"},
+            "benchmarks": runs}
+
+
 CASES = [
     # (mode flags, name, bench, expected to pass)
     ([], "join speedup 1.45x at n_bw=8",
@@ -131,6 +155,14 @@ CASES = [
     (["--baskets"], "no 300 k runs", baskets_bench(35.0, 38.0, (30000, 3000)),
      False),
     (["--baskets"], "baskets within budget", baskets_bench(35.0, 38.0), True),
+    (["--grouping"], "boxed count(*) + sum 4.8x",
+     fold_bench(110.0, {1: 4.8, 2: 1.5}), False),
+    (["--grouping"], "boxed min + max 6.2x",
+     fold_bench(110.0, {1: 1.5, 2: 6.2}), False),
+    (["--grouping"], "no min + max runs", fold_bench(110.0, {1: 1.5}),
+     False),
+    (["--grouping"], "flat states 1.5x", fold_bench(110.0, {1: 1.5, 2: 1.5}),
+     True),
 ]
 
 

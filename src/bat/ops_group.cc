@@ -104,22 +104,34 @@ GroupTable::GroupTable(std::vector<TypeId> key_types,
 void GroupTable::Reset(std::vector<TypeId> key_types,
                        std::vector<std::pair<AggKind, TypeId>> aggs) {
   key_types_ = std::move(key_types);
-  aggs_ = std::move(aggs);
-  minmax_.clear();
-  for (const auto& [kind, type] : aggs_) {
-    minmax_.push_back(kind == AggKind::kMin || kind == AggKind::kMax);
+  bool same = states_.size() == aggs.size();
+  for (size_t a = 0; same && a < aggs.size(); ++a) {
+    same = states_[a].kind() == aggs[a].first &&
+           states_[a].arg_type() == aggs[a].second;
+  }
+  if (same) {  // keep the state columns' capacity
+    for (AggColumn& st : states_) st.Resize(0);
+  } else {
+    states_.clear();
+    for (const auto& [kind, type] : aggs) states_.emplace_back(kind, type);
   }
   keys_.clear();
   for (TypeId t : key_types_) keys_.push_back(Bat::MakeEmpty(t));
   counts_.clear();
-  states_.clear();
   map_.Clear();
+  if (key_types_.empty()) {  // scalar: the one group exists from the start
+    counts_.push_back(0);
+    ResizeStates();
+  }
 }
 
 uint32_t GroupTable::AddGroup(size_t slot, uint64_t h) {
   counts_.push_back(0);
-  states_.resize(states_.size() + aggs_.size());
   return map_.Add(slot, h);
+}
+
+void GroupTable::ResizeStates() {
+  for (AggColumn& st : states_) st.Resize(num_groups());
 }
 
 template <typename T>
@@ -179,6 +191,26 @@ void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
   }
 }
 
+Status GroupTable::CheckValues(const std::vector<const Bat*>& values,
+                               uint64_t n) const {
+  if (values.size() != states_.size()) {
+    return Status::InvalidArgument("GroupTable: value column count mismatch");
+  }
+  for (size_t a = 0; a < values.size(); ++a) {
+    const Bat* v = values[a];
+    if (v == nullptr) continue;
+    if (v->size() != n) {
+      return Status::InvalidArgument("GroupTable: value column size mismatch");
+    }
+    const TypeId want = states_[a].arg_type();
+    if (states_[a].kind() != AggKind::kCount && v->type() != want &&
+        !(StoredAsI64(v->type()) && StoredAsI64(want))) {
+      return Status::InvalidArgument("GroupTable: value column type mismatch");
+    }
+  }
+  return Status::OK();
+}
+
 Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
                            const std::vector<const Bat*>& values) {
   if (key_types_.empty()) {
@@ -186,9 +218,6 @@ Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
   }
   if (keys.size() != key_types_.size()) {
     return Status::InvalidArgument("GroupTable: key column count mismatch");
-  }
-  if (values.size() != aggs_.size()) {
-    return Status::InvalidArgument("GroupTable: value column count mismatch");
   }
   const uint64_t n = keys[0]->size();
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -199,11 +228,7 @@ Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
       return Status::Internal("GroupTable: NULL in a group key column");
     }
   }
-  for (const Bat* v : values) {
-    if (v != nullptr && v->size() != n) {
-      return Status::InvalidArgument("GroupTable: value column size mismatch");
-    }
-  }
+  DC_RETURN_NOT_OK(CheckValues(values, n));
   if (n == 0) return Status::OK();
 
   std::vector<uint32_t> gids(n);
@@ -216,23 +241,33 @@ Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
   }
 
   for (uint64_t r = 0; r < n; ++r) ++counts_[gids[r]];
-  const size_t nagg = aggs_.size();
-  for (size_t a = 0; a < nagg; ++a) {
-    AggState* st = states_.data() + a;
-    const Bat* v = values[a];
-    if (v == nullptr) {  // COUNT(*)
-      for (uint64_t r = 0; r < n; ++r) ++st[gids[r] * nagg].count;
-      continue;
-    }
-    const bool minmax = minmax_[a] != 0;
-    for (uint64_t r = 0; r < n; ++r) st[gids[r] * nagg].AddCell(*v, r, minmax);
+  ResizeStates();
+  for (size_t a = 0; a < states_.size(); ++a) states_[a].Fold(values[a], gids);
+  return Status::OK();
+}
+
+Status GroupTable::AddRows(uint64_t rows,
+                           const std::vector<const Bat*>& values) {
+  if (!key_types_.empty()) {
+    return Status::InvalidArgument("GroupTable: key columns missing");
+  }
+  DC_RETURN_NOT_OK(CheckValues(values, rows));
+  counts_[0] += rows;
+  for (size_t a = 0; a < states_.size(); ++a) {
+    states_[a].FoldAll(values[a], rows, 0);
   }
   return Status::OK();
 }
 
 Status GroupTable::Merge(const GroupTable& other) {
   if (other.num_groups() == 0) return Status::OK();
-  if (other.key_types_ != key_types_ || other.aggs_ != aggs_) {
+  bool same = other.key_types_ == key_types_ &&
+              other.states_.size() == states_.size();
+  for (size_t a = 0; same && a < states_.size(); ++a) {
+    same = other.states_[a].kind() == states_[a].kind() &&
+           other.states_[a].arg_type() == states_[a].arg_type();
+  }
+  if (!same) {
     return Status::InvalidArgument("GroupTable::Merge: incompatible layout");
   }
   if (num_groups() == 0) {
@@ -245,34 +280,39 @@ Status GroupTable::Merge(const GroupTable& other) {
     map_.Assign(other.map_.hashes());
     return Status::OK();
   }
-  std::vector<const Bat*> theirs;
-  for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
-  const auto f64 = F64Keys(theirs);
-  const size_t nagg = aggs_.size();
-  for (uint64_t og = 0; og < other.num_groups(); ++og) {
-    // Re-salt a NaN group: ids of different tables' NaN groups collide.
-    const uint64_t h = !f64.empty() && KeyHasNaN(f64, og)
-                           ? SaltNaN(other.map_.hash(og), num_groups())
-                           : other.map_.hash(og);
-    size_t s;
-    uint32_t g = map_.Find(
-        h,
-        [&](uint32_t id) {
-          return map_.hash(id) == h && RowEq(keys_, id, theirs, og);
-        },
-        &s);
-    const AggState* src = other.group_states(og);
-    if (g == KeyMap::kNone) {
-      for (size_t k = 0; k < keys_.size(); ++k) {
-        keys_[k]->AppendRange(*theirs[k], og, og + 1);
+  // Where each group of `other` lands here; scalar tables map 0 to 0.
+  std::vector<uint32_t> dst(other.num_groups(), 0);
+  if (!key_types_.empty()) {
+    std::vector<const Bat*> theirs;
+    for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
+    const auto f64 = F64Keys(theirs);
+    for (uint64_t og = 0; og < other.num_groups(); ++og) {
+      // Re-salt a NaN group: ids of different tables' NaN groups collide.
+      const uint64_t h = !f64.empty() && KeyHasNaN(f64, og)
+                             ? SaltNaN(other.map_.hash(og), num_groups())
+                             : other.map_.hash(og);
+      size_t s;
+      uint32_t g = map_.Find(
+          h,
+          [&](uint32_t id) {
+            return map_.hash(id) == h && RowEq(keys_, id, theirs, og);
+          },
+          &s);
+      if (g == KeyMap::kNone) {
+        for (size_t k = 0; k < keys_.size(); ++k) {
+          keys_[k]->AppendRange(*theirs[k], og, og + 1);
+        }
+        g = AddGroup(s, h);
       }
-      g = AddGroup(s, h);
-      counts_[g] = other.counts_[og];
-      std::copy(src, src + nagg, states_.begin() + g * nagg);
-      continue;
+      dst[og] = g;
     }
-    counts_[g] += other.counts_[og];
-    for (size_t a = 0; a < nagg; ++a) states_[g * nagg + a].Merge(src[a]);
+    ResizeStates();
+  }
+  for (uint64_t og = 0; og < other.num_groups(); ++og) {
+    counts_[dst[og]] += other.counts_[og];
+  }
+  for (size_t a = 0; a < states_.size(); ++a) {
+    states_[a].Merge(other.states_[a], dst);
   }
   return Status::OK();
 }
@@ -281,23 +321,32 @@ Result<std::vector<BatPtr>> GroupTable::Finalize() const {
   const uint64_t n = num_groups();
   std::vector<BatPtr> out;
   for (const BatPtr& k : keys_) out.push_back(k->Slice(0, n));
-  const size_t nagg = aggs_.size();
-  for (size_t a = 0; a < nagg; ++a) {
-    const auto [kind, type] = aggs_[a];
-    DC_ASSIGN_OR_RETURN(TypeId ot, AggResultType(kind, type));
-    BatPtr col = Bat::MakeEmpty(ot);
-    col->Reserve(n);
-    for (uint64_t g = 0; g < n; ++g) {
-      col->AppendValue(states_[g * nagg + a].Finalize(kind, type));
-    }
+  for (const AggColumn& st : states_) {
+    DC_ASSIGN_OR_RETURN(BatPtr col, st.Finalize());
     out.push_back(std::move(col));
   }
   return out;
 }
 
+GroupTable GroupTable::ScalarFrom(const std::vector<AggColumn>& states,
+                                  uint64_t g) {
+  std::vector<std::pair<AggKind, TypeId>> layout;
+  for (const AggColumn& st : states) {
+    layout.emplace_back(st.kind(), st.arg_type());
+  }
+  GroupTable t({}, std::move(layout));
+  const auto src = static_cast<uint32_t>(g);
+  const uint32_t dst = 0;
+  const uint64_t once = 1;
+  for (size_t a = 0; a < states.size(); ++a) {
+    t.states_[a].ScaledMerge(states[a], {&src, 1}, {&dst, 1}, {&once, 1});
+  }
+  return t;
+}
+
 size_t GroupTable::MemoryBytes() const {
-  size_t total = counts_.capacity() * sizeof(uint64_t) +
-                 states_.capacity() * sizeof(AggState) + map_.MemoryBytes();
+  size_t total = counts_.capacity() * sizeof(uint64_t) + map_.MemoryBytes();
+  for (const AggColumn& st : states_) total += st.MemoryBytes();
   for (const BatPtr& k : keys_) total += k->MemoryBytes();
   return total;
 }

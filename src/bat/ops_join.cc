@@ -320,6 +320,11 @@ BatPtr FetchOids(const Bat& col, const std::vector<Oid>& oids) {
       for (Oid o : oids) out->AppendStr(col.StrAt(o));
       break;
   }
+  if (col.has_nulls()) {
+    std::vector<uint8_t> nulls(oids.size());
+    for (size_t i = 0; i < oids.size(); ++i) nulls[i] = col.IsNull(oids[i]);
+    out->SetNulls(nulls);
+  }
   return out;
 }
 

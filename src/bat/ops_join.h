@@ -145,6 +145,7 @@ Result<JoinResult> IndexedDeltaJoin(const Bat& left, uint64_t left_old,
 
 /// Materializes `col[oids[i]]` for every i — payload fetch through a join
 /// index (oids may repeat; unlike Candidates they need not be sorted).
+/// NULL rows stay NULL.
 BatPtr FetchOids(const Bat& col, const std::vector<Oid>& oids);
 
 }  // namespace dc::ops

@@ -16,9 +16,9 @@
 // SQL empty-window convention needs (scalar SUM/MIN/MAX/AVG over zero rows
 // are NULL). NULLs do not participate in selections, joins, grouping or
 // arithmetic — they are produced at aggregate finalization and flow to the
-// emitted result columns (docs/INCREMENTAL.md "Known divergences"). Streams
-// refuse NULL cells at ingest (Basket::RefuseNulls), so none reaches a
-// query's input.
+// emitted result columns (docs/INCREMENTAL.md, "Empty-window semantics").
+// Streams refuse NULL cells at ingest (Basket::RefuseNulls); a table
+// column may hold them, and aggregates skip them as SQL does.
 
 #ifndef DATACELL_BAT_TYPES_H_
 #define DATACELL_BAT_TYPES_H_

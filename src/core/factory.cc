@@ -628,14 +628,17 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
   const auto& pa = cq.delta_pre_agg;
   const size_t nagg = pa.agg_side.size();
   const size_t nbuckets = static_cast<size_t>(std::min(nl, nr));
-  if (expiry_states_.size() < nbuckets) {
-    expiry_states_.resize(nbuckets);
-    expiry_dirty_.resize(nbuckets, 0);
+  // One accumulator group per expiry bucket, per aggregate.
+  if (expiry_states_.empty()) {
+    for (const auto& [kind, type] : cq.finish.agg_layout) {
+      expiry_states_.emplace_back(kind, type);
+    }
   }
-  for (size_t i = 0; i < nbuckets; ++i) {
-    expiry_states_[i].assign(nagg, ops::AggState{});
-    expiry_dirty_[i] = 0;
+  for (ops::AggColumn& st : expiry_states_) {
+    st.Resize(0);
+    st.Resize(nbuckets);
   }
+  expiry_dirty_.assign(nbuckets, 0);
   if (!delta_seeded_) {
     delta_groups_[0].Reset(cq.join_key_domain);
     delta_groups_[1].Reset(cq.join_key_domain);
@@ -643,41 +646,47 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
   delta_groups_[0].EvictBefore(lfirst);
   delta_groups_[1].EvictBefore(rfirst);
 
-  // Per aggregate: does the pairing need the merged extrema? Only MIN/MAX
-  // read them; skipping the boxed-Value compares for SUM/AVG/COUNT keeps
-  // the per-pair loop purely arithmetic.
-  std::vector<char> needs_minmax(nagg, 0);
-  for (size_t i = 0; i < nagg; ++i) {
-    const ops::AggKind k = cq.bound.aggs[i].kind;
-    needs_minmax[i] = (k == ops::AggKind::kMin || k == ops::AggKind::kMax);
-  }
-
-  // One group pairing (count_l, states_l) x (count_r, states_r) stands
-  // for count_l * count_r join pairs; the product rule folds it into the
-  // expiry bucket in O(aggs).
+  // One probe's group pairings, gathered before the aggregate loops. A
+  // pairing (left group, right group) with row counts (cl, cr) stands for
+  // cl * cr join pairs; the product rule folds it into its expiry bucket.
   uint64_t pairs = 0;
-  auto accumulate = [&](int64_t jl, int64_t jr, uint64_t cl, uint64_t cr,
-                        const ops::AggState* sl,
-                        const ops::AggState* sr) -> Status {
+  std::vector<uint32_t> bucket, lgroup, rgroup;
+  std::vector<uint64_t> lrows, rrows, both;
+  auto pair_up = [&](int64_t jl, int64_t jr, uint64_t gl, uint64_t gr,
+                     uint64_t cl, uint64_t cr) -> Status {
     const int64_t idx = std::min(jl + nl, jr + nr) - m;
     if (idx < 0 || static_cast<size_t>(idx) >= nbuckets) {
       return Status::Internal("delta pre-agg: pair expiry out of range");
     }
-    std::vector<ops::AggState>& bucket = expiry_states_[idx];
     expiry_dirty_[idx] = 1;
-    for (size_t i = 0; i < nagg; ++i) {
-      if (pa.agg_side[i] < 0) {
-        bucket[i].count += cl * cr;  // COUNT(*)
-      } else if (pa.agg_side[i] == 0) {
-        bucket[i].ScaledMerge(sl[preagg_local_[i]], cr,
-                              needs_minmax[i] != 0);
-      } else {
-        bucket[i].ScaledMerge(sr[preagg_local_[i]], cl,
-                              needs_minmax[i] != 0);
-      }
-    }
+    bucket.push_back(static_cast<uint32_t>(idx));
+    lgroup.push_back(static_cast<uint32_t>(gl));
+    rgroup.push_back(static_cast<uint32_t>(gr));
+    lrows.push_back(cl);
+    rrows.push_back(cr);
+    both.push_back(cl * cr);
     pairs += cl * cr;
     return Status::OK();
+  };
+  // Folds the gathered pairings into the buckets, one aggregate at a time:
+  // a left argument's state scales by the right rows, and vice versa.
+  // (A track holds no state columns before its first append, and then no
+  // probe finds a pairing either.)
+  auto fold_pairs = [&](const std::vector<ops::AggColumn>& left,
+                        const std::vector<ops::AggColumn>& right) {
+    if (bucket.empty()) return;
+    for (size_t i = 0; i < nagg; ++i) {
+      ops::AggColumn& acc = expiry_states_[i];
+      if (pa.agg_side[i] < 0) {
+        acc.AddCounts(bucket, both);  // COUNT(*)
+      } else if (pa.agg_side[i] == 0) {
+        acc.ScaledMerge(left[preagg_local_[i]], lgroup, bucket, rrows);
+      } else {
+        acc.ScaledMerge(right[preagg_local_[i]], rgroup, bucket, lrows);
+      }
+    }
+    for (auto* v : {&bucket, &lgroup, &rgroup}) v->clear();
+    for (auto* v : {&lrows, &rrows, &both}) v->clear();
   };
 
   // Steady state runs one step (new basic window m-1 on both sides); the
@@ -717,10 +726,10 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
       const exec::DeltaGroupTrack& t = delta_groups_[1];
       for (size_t k = 0; k < probe_out.size(); ++k) {
         const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(accumulate(j, t.bw_of[p], gl.counts()[g],
-                                    t.counts[p], gl.group_states(g),
-                                    t.group_states(p)));
+        DC_RETURN_NOT_OK(pair_up(j, t.bw_of[p], g, p, gl.counts()[g],
+                                 t.counts[p]));
       }
+      fold_pairs(gl.states(), t.states);
       return Status::OK();
     };
     auto probe_right_new = [&]() -> Status {  // gr vs track 0
@@ -731,10 +740,10 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
       const exec::DeltaGroupTrack& t = delta_groups_[0];
       for (size_t k = 0; k < probe_out.size(); ++k) {
         const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(accumulate(t.bw_of[p], j, t.counts[p],
-                                    gr.counts()[g], t.group_states(p),
-                                    gr.group_states(g)));
+        DC_RETURN_NOT_OK(pair_up(t.bw_of[p], j, p, g, t.counts[p],
+                                 gr.counts()[g]));
       }
+      fold_pairs(t.states, gr.states());
       return Status::OK();
     };
     auto append_left = [&]() -> Status {
@@ -751,10 +760,10 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
                             ops::HashJoin(gl.key(0), gr.key(0)));
         for (size_t k = 0; k < nn.left.size(); ++k) {
           const uint64_t a = nn.left[k], b = nn.right[k];
-          DC_RETURN_NOT_OK(accumulate(j, j, gl.counts()[a],
-                                      gr.counts()[b], gl.group_states(a),
-                                      gr.group_states(b)));
+          DC_RETURN_NOT_OK(pair_up(j, j, a, b, gl.counts()[a],
+                                   gr.counts()[b]));
         }
+        fold_pairs(gl.states(), gr.states());
       }
     } else if (nl == 1) {
       DC_RETURN_NOT_OK(append_right());
@@ -776,7 +785,7 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
   for (size_t idx = 0; idx < nbuckets; ++idx) {
     if (!expiry_dirty_[idx]) continue;
     exec::Partial p;
-    p.scalar_states = std::move(expiry_states_[idx]);
+    p.grouped = ops::GroupTable::ScalarFrom(expiry_states_, idx);
     partials_.insert_or_assign(
         PartialKey{m + 1 + static_cast<int64_t>(idx), m}, std::move(p));
   }

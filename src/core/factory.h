@@ -303,8 +303,8 @@ class Factory {
   /// Reusable expiry-bucket scratch, indexed expiry - (m + 1); every pair
   /// created at emission m expires in [m + 1, m + min(nl, nr)].
   std::vector<std::vector<Oid>> expiry_rows_ DC_GUARDED_BY(mu_);  // row path
-  std::vector<std::vector<ops::AggState>> expiry_states_
-      DC_GUARDED_BY(mu_);                               // pre-agg path
+  /// Pre-agg path: per aggregate, one accumulator group per bucket.
+  std::vector<ops::AggColumn> expiry_states_ DC_GUARDED_BY(mu_);
   std::vector<uint8_t> expiry_dirty_ DC_GUARDED_BY(mu_);  // pre-agg path
 
   FactoryStats stats_ DC_GUARDED_BY(mu_);

@@ -8,8 +8,7 @@
 namespace dc::exec {
 
 size_t Partial::MemoryBytes() const {
-  size_t total = scalar_states.size() * sizeof(ops::AggState) +
-                 grouped.MemoryBytes();
+  size_t total = grouped.MemoryBytes();
   for (const BatPtr& c : frag_cols) total += c->MemoryBytes();
   return total;
 }
@@ -90,7 +89,6 @@ size_t DeltaSideState::MemoryBytes() const {
 
 void DeltaGroupTrack::Reset(TypeId key_domain) {
   counts.clear();
-  nagg = 0;
   states.clear();
   bw_of.clear();
   dead = 0;
@@ -100,9 +98,17 @@ void DeltaGroupTrack::Reset(TypeId key_domain) {
 
 Status DeltaGroupTrack::AppendGroups(int64_t bw, const ops::GroupTable& g) {
   DC_RETURN_NOT_OK(index.Append(g.key(0), 0, g.num_groups()));
-  nagg = g.num_aggs();
+  if (states.empty()) {
+    for (const ops::AggColumn& st : g.states()) {
+      states.emplace_back(st.kind(), st.arg_type());
+    }
+  } else if (states.size() != g.num_aggs()) {
+    return Status::Internal("delta pre-agg: aggregate arity changed");
+  }
   counts.insert(counts.end(), g.counts().begin(), g.counts().end());
-  states.insert(states.end(), g.states().begin(), g.states().end());
+  for (size_t a = 0; a < states.size(); ++a) {
+    states[a].AppendGroups(g.states()[a]);
+  }
   bw_of.insert(bw_of.end(), g.num_groups(), bw);
   bws.emplace_back(bw, g.num_groups());
   return Status::OK();
@@ -119,16 +125,17 @@ void DeltaGroupTrack::EvictBefore(int64_t first_live) {
 void DeltaGroupTrack::TrimIfWorthIt() {
   if (dead == 0 || dead <= counts.size() - dead) return;
   counts.erase(counts.begin(), counts.begin() + static_cast<int64_t>(dead));
-  states.erase(states.begin(),
-               states.begin() + static_cast<int64_t>(dead * nagg));
+  for (ops::AggColumn& st : states) st.DropHead(dead);
   bw_of.erase(bw_of.begin(), bw_of.begin() + static_cast<int64_t>(dead));
   index.Rebase();
   dead = 0;
 }
 
 size_t DeltaGroupTrack::MemoryBytes() const {
-  return counts.size() * sizeof(uint64_t) + bw_of.size() * sizeof(int64_t) +
-         states.size() * sizeof(ops::AggState) + index.MemoryBytes();
+  size_t total = counts.capacity() * sizeof(uint64_t) +
+                 bw_of.capacity() * sizeof(int64_t) + index.MemoryBytes();
+  for (const ops::AggColumn& st : states) total += st.MemoryBytes();
+  return total;
 }
 
 QueryExecutor::QueryExecutor(plan::CompiledQuery cq) : cq_(std::move(cq)) {
@@ -203,26 +210,18 @@ Result<Partial> QueryExecutor::MakePartial(const StageOutput& frag) const {
     }
     return p;
   }
-  if (cq_.num_keys == 0) {
-    p.scalar_states.resize(cq_.bound.aggs.size());
-    for (size_t i = 0; i < cq_.bound.aggs.size(); ++i) {
-      const int slot = cq_.agg_arg_slots[i];
-      if (slot < 0) {
-        p.scalar_states[i].count = frag.rows;
-      } else {
-        p.scalar_states[i].AddColumn(*frag.cols[slot], nullptr);
-      }
-    }
-    return p;
-  }
-  std::vector<const Bat*> keys;
-  for (int k = 0; k < cq_.num_keys; ++k) keys.push_back(frag.cols[k].get());
   std::vector<const Bat*> values;
   for (size_t i = 0; i < cq_.bound.aggs.size(); ++i) {
     const int slot = cq_.agg_arg_slots[i];
     values.push_back(slot < 0 ? nullptr : frag.cols[slot].get());
   }
   p.grouped.Reset(f.key_types, f.agg_layout);
+  if (cq_.num_keys == 0) {
+    DC_RETURN_NOT_OK(p.grouped.AddRows(frag.rows, values));
+    return p;
+  }
+  std::vector<const Bat*> keys;
+  for (int k = 0; k < cq_.num_keys; ++k) keys.push_back(frag.cols[k].get());
   DC_RETURN_NOT_OK(p.grouped.AddRows(keys, values));
   return p;
 }
@@ -249,7 +248,7 @@ Status QueryExecutor::BuildDeltaGroups(int side, const StageOutput& compact,
       return Status::Internal("delta pre-agg: bad argument slot");
     }
     arg_cols.push_back(compact.cols[slot].get());
-    layout.emplace_back(cq_.bound.aggs[i].kind, arg_cols.back()->type());
+    layout.emplace_back(cq_.bound.aggs[i].kind, cq_.bound.aggs[i].arg_type);
   }
   groups->Reset({key->type()}, std::move(layout));
   return groups->AddRows({key}, arg_cols);
@@ -309,37 +308,17 @@ Result<BatPtr> EvalFinishExpr(const plan::BExpr& e,
 Result<ColumnSet> QueryExecutor::FinishAggregate(
     const std::vector<const Partial*>& partials) const {
   const plan::FinishSpec& f = cq_.finish;
-  std::vector<BatPtr> key_cols;
-  std::vector<BatPtr> agg_cols;
-  uint64_t rows = 0;
-
-  if (cq_.num_keys == 0) {
-    // Scalar aggregation: exactly one output row, even over empty input.
-    std::vector<ops::AggState> merged(cq_.bound.aggs.size());
-    for (const Partial* p : partials) {
-      for (size_t i = 0; i < merged.size(); ++i) {
-        merged[i].Merge(p->scalar_states[i]);
-      }
-    }
-    for (size_t i = 0; i < merged.size(); ++i) {
-      const plan::BoundAgg& a = cq_.bound.aggs[i];
-      auto col = Bat::MakeEmpty(a.out_type);
-      col->AppendValue(merged[i].Finalize(a.kind, a.arg_type));
-      agg_cols.push_back(std::move(col));
-    }
-    rows = 1;
-  } else {
-    ops::GroupTable merged(f.key_types, f.agg_layout);
-    for (const Partial* p : partials) {
-      DC_RETURN_NOT_OK(merged.Merge(p->grouped));
-    }
-    DC_ASSIGN_OR_RETURN(std::vector<BatPtr> cols, merged.Finalize());
-    for (int k = 0; k < cq_.num_keys; ++k) key_cols.push_back(cols[k]);
-    for (size_t a = 0; a < cq_.bound.aggs.size(); ++a) {
-      agg_cols.push_back(cols[cq_.num_keys + a]);
-    }
-    rows = merged.num_groups();
+  // A scalar aggregate merges into a one-group table: exactly one output
+  // row, even over empty input.
+  ops::GroupTable merged(f.key_types, f.agg_layout);
+  for (const Partial* p : partials) {
+    DC_RETURN_NOT_OK(merged.Merge(p->grouped));
   }
+  DC_ASSIGN_OR_RETURN(std::vector<BatPtr> cols, merged.Finalize());
+  const auto nkeys = static_cast<std::ptrdiff_t>(cq_.num_keys);
+  std::vector<BatPtr> key_cols(cols.begin(), cols.begin() + nkeys);
+  std::vector<BatPtr> agg_cols(cols.begin() + nkeys, cols.end());
+  uint64_t rows = merged.num_groups();
 
   // Select list.
   ColumnSet out;

@@ -30,9 +30,8 @@ namespace dc::exec {
 
 /// Mergeable partial result of one input portion (basic window).
 struct Partial {
-  // Aggregate queries without GROUP BY:
-  std::vector<ops::AggState> scalar_states;
-  // Aggregate queries with GROUP BY (empty, with no layout, otherwise):
+  // Aggregate queries: the groups and their states; a scalar table (one
+  // group, no keys) without GROUP BY. Empty, with no layout, otherwise.
   ops::GroupTable grouped;
   // Non-aggregate queries: the fragment's output columns. When the query
   // has an ORDER BY, MakePartial stores them pre-sorted by the hidden
@@ -103,9 +102,8 @@ struct DeltaSideState {
 /// ordinals into counts/states/bw_of (dense append order).
 struct DeltaGroupTrack {
   std::vector<uint64_t> counts;
-  /// Flat per-group states, stride `nagg` (GroupTable's layout).
-  size_t nagg = 0;
-  std::vector<ops::AggState> states;
+  /// One state column per local aggregate (GroupTable's layout).
+  std::vector<ops::AggColumn> states;
   std::vector<int64_t> bw_of;  ///< originating basic window per group
   uint64_t dead = 0;           ///< expired group prefix awaiting trim
   /// (bw ordinal, group count) per live basic window, oldest first.
@@ -121,9 +119,6 @@ struct DeltaGroupTrack {
   void EvictBefore(int64_t first_live);
   void TrimIfWorthIt();
   uint64_t live_groups() const { return counts.size() - dead; }
-  const ops::AggState* group_states(uint64_t p) const {
-    return states.data() + p * nagg;
-  }
   size_t MemoryBytes() const;
 };
 
@@ -163,7 +158,7 @@ class QueryExecutor {
   /// group states are this side's local aggregates: those whose argument
   /// lives on this side, in query order (COUNT(*) needs none). The delta
   /// join then pairs groups instead of rows and applies the product rule
-  /// (AggState::ScaledMerge), so per-emission cost scales with distinct
+  /// (AggColumn::ScaledMerge), so per-emission cost scales with distinct
   /// keys rather than join pairs.
   Status BuildDeltaGroups(int side, const StageOutput& compact,
                           ops::GroupTable* groups) const;

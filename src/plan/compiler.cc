@@ -630,7 +630,7 @@ class Compiler {
   /// above the delta join is a scalar aggregate over bare columns: each
   /// side is then pre-aggregated per join key per basic window and the
   /// delta join pairs (key, count, states) groups, applying the product
-  /// rule (AggState::ScaledMerge). Any GROUP BY, post-join filter, or
+  /// rule (AggColumn::ScaledMerge). Any GROUP BY, post-join filter, or
   /// computed aggregate argument keeps the raw row-pairing path.
   void BuildDeltaPreAgg() {
     const BoundQuery& q = out_.bound;

@@ -91,7 +91,7 @@ struct CompiledQuery {
   /// aggregate whose arguments are bare single-side columns (or
   /// COUNT(*)), with no GROUP BY and no post-join filters, each side can
   /// be pre-aggregated per join key per basic window and the delta join
-  /// pairs groups instead of rows (AggState::ScaledMerge applies the
+  /// pairs groups instead of rows (AggColumn::ScaledMerge applies the
   /// product rule). Per-emission cost then scales with distinct keys, not
   /// join pairs.
   struct DeltaPreAgg {

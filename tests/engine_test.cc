@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -434,6 +436,148 @@ TEST_F(EngineTest, StreamsRefuseNullCellsAndKeepServing) {
   engine_.Pump();
   EXPECT_EQ(RowStrings(Take(qid)),
             (std::vector<std::string>{"0|2|", "1|4|"}));
+}
+
+// Tables may hold NULL cells (streams refuse them), and aggregates skip
+// them: COUNT(v) counts the other cells, SUM/AVG/MIN/MAX fold only those,
+// and a group whose cells are all NULL reads COUNT 0 and NULL elsewhere.
+class NullTableTest : public testutil::SyncEngineTest {
+ protected:
+  // t(k, v) = (1, 10), (1, NULL), (1, 5), (2, NULL).
+  void LoadTable() {
+    Exec("CREATE TABLE t (k int, v int)");
+    BatPtr v = Bat::MakeEmpty(TypeId::kI64);
+    v->AppendI64(10);
+    v->AppendNull();
+    v->AppendI64(5);
+    v->AppendNull();
+    auto t = engine_.catalog().GetTable("t");
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE((*t)->AppendColumns({Bat::MakeI64({1, 1, 1, 2}), v}).ok());
+  }
+};
+
+TEST_F(NullTableTest, OneTimeAggregatesSkipNullCells) {
+  LoadTable();
+  EXPECT_TRUE(testutil::ColumnSetMatches(
+      MustQuery("SELECT count(*), count(v), sum(v), avg(v), min(v), max(v) "
+                "FROM t"),
+      {{"4", "2", "15", "7.5", "5", "10"}}));
+  EXPECT_TRUE(testutil::ColumnSetMatches(
+      MustQuery("SELECT k, count(*), count(v), sum(v), avg(v), min(v), "
+                "max(v) FROM t GROUP BY k ORDER BY k"),
+      {{"1", "3", "2", "15", "7.5", "5", "10"},
+       {"2", "1", "0", "NULL", "NULL", "NULL", "NULL"}}));
+}
+
+// A stream joined with the table carries the table's NULL cells into the
+// aggregates: INCREMENTAL (per-basic-window partials of a window node)
+// and FULL emit the same rows, and those rows skip the NULLs.
+TEST_F(NullTableTest, StreamTableIncrementalMatchesFull) {
+  LoadTable();
+  Exec("CREATE STREAM s (ts timestamp, sk int)");
+  const std::string aggs =
+      "count(*), count(v), sum(v), avg(v), min(v), max(v) "
+      "FROM s [ROWS 4 SLIDE 2] JOIN t ON s.sk = t.k";
+  const std::string grouped =
+      "SELECT k, " + aggs + " GROUP BY k ORDER BY k";
+  const std::string scalar = "SELECT " + aggs;
+  const int gi = Submit(grouped, ExecMode::kIncremental);
+  const int gf = Submit(grouped, ExecMode::kFullReeval);
+  const int si = Submit(scalar, ExecMode::kIncremental);
+  const int sf = Submit(scalar, ExecMode::kFullReeval);
+  for (int i = 0; i < 8; ++i) {
+    PushPump("s", {Value::Ts(i), Value::I64(1 + i % 2)});
+  }
+  // Every window holds sk 1, 2, 1, 2: each 1 pairs with (10, NULL, 5),
+  // each 2 with (NULL).
+  const std::vector<std::vector<std::string>> want_grouped{
+      {"1", "6", "4", "30", "7.5", "5", "10"},
+      {"2", "2", "0", "NULL", "NULL", "NULL", "NULL"}};
+  const std::vector<std::vector<std::string>> want_scalar{
+      {"8", "4", "30", "7.5", "5", "10"}};
+  const auto inc_grouped = Take(gi);
+  const auto inc_scalar = Take(si);
+  ASSERT_EQ(inc_grouped.size(), 3u);
+  ASSERT_EQ(inc_scalar.size(), 3u);
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_TRUE(testutil::ColumnSetMatches(inc_grouped[e], want_grouped));
+    EXPECT_TRUE(testutil::ColumnSetMatches(inc_scalar[e], want_scalar));
+  }
+  EXPECT_EQ(testutil::EmissionStrings(inc_grouped),
+            testutil::EmissionStrings(Take(gf)));
+  EXPECT_EQ(testutil::EmissionStrings(inc_scalar),
+            testutil::EmissionStrings(Take(sf)));
+}
+
+// f64 MIN/MAX order NaN above every number (PostgreSQL's rule) on every
+// path: one-time scalar and grouped queries over each row order of NaN,
+// 5, 3, and sliding windows over all those orders in a row, whose
+// one-row basic-window partials split the window, INCREMENTAL and FULL.
+TEST_F(EngineTest, NaNExtremaFollowOneOrderOnEveryPath) {
+  auto less = [](double a, double b) {  // NaN above every number
+    return !std::isnan(a) && (std::isnan(b) || a < b);
+  };
+  auto cell = [](double x) { return Value::F64(x).ToString(); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Exec("CREATE STREAM s (ts timestamp, k int, x double)");
+  const std::string window = " FROM s [ROWS 3 SLIDE 1]";
+  const int scalar_inc =
+      Submit("SELECT min(x), max(x)" + window, ExecMode::kIncremental);
+  const int scalar_full =
+      Submit("SELECT min(x), max(x)" + window, ExecMode::kFullReeval);
+  const int grouped_inc = Submit("SELECT k, min(x), max(x)" + window +
+                                     " GROUP BY k",
+                                 ExecMode::kIncremental);
+  const int grouped_full = Submit("SELECT k, min(x), max(x)" + window +
+                                      " GROUP BY k",
+                                  ExecMode::kFullReeval);
+
+  std::vector<double> vals{3, 5, nan};
+  std::vector<double> pushed;
+  int perm = 0;
+  do {
+    const std::string t = StrFormat("u%d", perm++);
+    Exec("CREATE TABLE " + t + " (k int, x double)");
+    auto table = engine_.catalog().GetTable(t);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)
+                    ->AppendColumns({Bat::MakeI64({7, 7, 7}),
+                                     Bat::MakeF64(vals)})
+                    .ok());
+    EXPECT_TRUE(testutil::ColumnSetMatches(
+        MustQuery("SELECT min(x), max(x) FROM " + t), {{"3", cell(nan)}}))
+        << t;
+    EXPECT_TRUE(testutil::ColumnSetMatches(
+        MustQuery("SELECT k, min(x), max(x) FROM " + t + " GROUP BY k"),
+        {{"7", "3", cell(nan)}}))
+        << t;
+    for (double x : vals) {
+      PushPump("s", {Value::Ts(static_cast<int64_t>(pushed.size())),
+                     Value::I64(7), Value::F64(x)});
+      pushed.push_back(x);
+    }
+  } while (std::next_permutation(vals.begin(), vals.end(), less));
+  ASSERT_EQ(perm, 6);
+
+  const auto scalar = Take(scalar_inc);
+  const auto grouped = Take(grouped_inc);
+  ASSERT_EQ(scalar.size(), pushed.size() - 2);
+  ASSERT_EQ(grouped.size(), pushed.size() - 2);
+  for (size_t e = 0; e < scalar.size(); ++e) {
+    const auto [lo, hi] =
+        std::minmax_element(pushed.begin() + e, pushed.begin() + e + 3, less);
+    EXPECT_TRUE(
+        testutil::ColumnSetMatches(scalar[e], {{cell(*lo), cell(*hi)}}))
+        << "window " << e;
+    EXPECT_TRUE(testutil::ColumnSetMatches(grouped[e],
+                                           {{"7", cell(*lo), cell(*hi)}}))
+        << "window " << e;
+  }
+  EXPECT_EQ(testutil::EmissionStrings(scalar),
+            testutil::EmissionStrings(Take(scalar_full)));
+  EXPECT_EQ(testutil::EmissionStrings(grouped),
+            testutil::EmissionStrings(Take(grouped_full)));
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "bat/ops_aggregate.h"
 #include "bat/ops_arith.h"
@@ -548,15 +550,40 @@ TEST(GroupTableTest, NaNKeysGroupInLinearTime) {
       << "NaN keys " << nan_s << " s, finite keys " << finite_s << " s";
 }
 
+// A scalar (keyless) table with one aggregate, `kind` over `type`, folded
+// over `rows` rows of `col` (null for COUNT(*)).
+ops::GroupTable ScalarTable(AggKind kind, TypeId type, const Bat* col,
+                            uint64_t rows) {
+  ops::GroupTable t({}, {{kind, type}});
+  EXPECT_TRUE(t.AddRows(rows, {col}).ok());
+  return t;
+}
+
+// The finalized cell of aggregate `a` in group `g` of `t`.
+Value Final(const ops::GroupTable& t, size_t a = 0, uint64_t g = 0) {
+  auto cols = t.Finalize();
+  EXPECT_TRUE(cols.ok()) << cols.status().ToString();
+  if (!cols.ok()) return Value::Null(TypeId::kI64);
+  return (*cols)[cols->size() - t.num_aggs() + a]->GetValue(g);
+}
+
 TEST(AggStateTest, ScalarAggregates) {
   auto col = Bat::MakeI64({4, 8, 2, 6});
-  EXPECT_EQ(ops::ScalarAgg(AggKind::kSum, col.get(), nullptr, 4)->AsI64(),
+  EXPECT_EQ(Final(ScalarTable(AggKind::kSum, TypeId::kI64, col.get(), 4))
+                .AsI64(),
             20);
-  EXPECT_EQ(ops::ScalarAgg(AggKind::kMin, col.get(), nullptr, 4)->AsI64(), 2);
-  EXPECT_EQ(ops::ScalarAgg(AggKind::kMax, col.get(), nullptr, 4)->AsI64(), 8);
-  EXPECT_EQ(ops::ScalarAgg(AggKind::kAvg, col.get(), nullptr, 4)->AsF64(),
+  EXPECT_EQ(Final(ScalarTable(AggKind::kMin, TypeId::kI64, col.get(), 4))
+                .AsI64(),
+            2);
+  EXPECT_EQ(Final(ScalarTable(AggKind::kMax, TypeId::kI64, col.get(), 4))
+                .AsI64(),
+            8);
+  EXPECT_EQ(Final(ScalarTable(AggKind::kAvg, TypeId::kI64, col.get(), 4))
+                .AsF64(),
             5.0);
-  EXPECT_EQ(ops::ScalarAgg(AggKind::kCount, nullptr, nullptr, 4)->AsI64(), 4);
+  EXPECT_EQ(
+      Final(ScalarTable(AggKind::kCount, TypeId::kI64, nullptr, 4)).AsI64(),
+      4);
 }
 
 TEST(AggStateTest, MergeEqualsWhole) {
@@ -565,15 +592,13 @@ TEST(AggStateTest, MergeEqualsWhole) {
   auto whole = Bat::MakeF64({1.5, -2.0, 7.25, 0.0, 3.5, 9.0});
   auto a = whole->Slice(0, 3);
   auto b = whole->Slice(3, 6);
-  ops::AggState sa, sb, sw;
-  sa.AddColumn(*a, nullptr);
-  sb.AddColumn(*b, nullptr);
-  sw.AddColumn(*whole, nullptr);
-  sa.Merge(sb);
   for (AggKind k : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
                     AggKind::kMin, AggKind::kMax}) {
-    EXPECT_EQ(sa.Finalize(k, TypeId::kF64).ToString(),
-              sw.Finalize(k, TypeId::kF64).ToString())
+    ops::GroupTable sa = ScalarTable(k, TypeId::kF64, a.get(), 3);
+    const ops::GroupTable sb = ScalarTable(k, TypeId::kF64, b.get(), 3);
+    const ops::GroupTable sw = ScalarTable(k, TypeId::kF64, whole.get(), 6);
+    ASSERT_TRUE(sa.Merge(sb).ok());
+    EXPECT_EQ(Final(sa).ToString(), Final(sw).ToString())
         << ops::AggKindName(k);
   }
 }
@@ -581,55 +606,219 @@ TEST(AggStateTest, MergeEqualsWhole) {
 // SQL empty-input conventions: COUNT over zero rows is 0, everything else
 // is a typed NULL (SUM keeps its result-type rule: f64 in, f64 NULL out).
 TEST(AggStateTest, EmptyInputConventions) {
-  ops::AggState s;
-  EXPECT_EQ(s.Finalize(AggKind::kCount, TypeId::kI64).AsI64(), 0);
-  EXPECT_TRUE(s.Finalize(AggKind::kSum, TypeId::kI64).is_null());
-  EXPECT_EQ(s.Finalize(AggKind::kSum, TypeId::kI64).type(), TypeId::kI64);
-  EXPECT_TRUE(s.Finalize(AggKind::kSum, TypeId::kF64).is_null());
-  EXPECT_EQ(s.Finalize(AggKind::kSum, TypeId::kF64).type(), TypeId::kF64);
-  EXPECT_TRUE(s.Finalize(AggKind::kAvg, TypeId::kI64).is_null());
-  EXPECT_EQ(s.Finalize(AggKind::kAvg, TypeId::kI64).type(), TypeId::kF64);
-  EXPECT_TRUE(s.Finalize(AggKind::kMin, TypeId::kStr).is_null());
-  EXPECT_TRUE(s.Finalize(AggKind::kMax, TypeId::kStr).is_null());
-  EXPECT_TRUE(s.Finalize(AggKind::kMin, TypeId::kI64).is_null());
-  EXPECT_TRUE(s.Finalize(AggKind::kMax, TypeId::kF64).is_null());
-  EXPECT_TRUE(s.Finalize(AggKind::kMin, TypeId::kTs).is_null());
-  EXPECT_EQ(s.Finalize(AggKind::kMin, TypeId::kTs).type(), TypeId::kTs);
-  EXPECT_EQ(s.Finalize(AggKind::kSum, TypeId::kI64).ToString(), "NULL");
+  auto empty = [](AggKind k, TypeId t) {
+    return Final(ops::GroupTable({}, {{k, t}}));
+  };
+  EXPECT_EQ(empty(AggKind::kCount, TypeId::kI64).AsI64(), 0);
+  EXPECT_TRUE(empty(AggKind::kSum, TypeId::kI64).is_null());
+  EXPECT_EQ(empty(AggKind::kSum, TypeId::kI64).type(), TypeId::kI64);
+  EXPECT_TRUE(empty(AggKind::kSum, TypeId::kF64).is_null());
+  EXPECT_EQ(empty(AggKind::kSum, TypeId::kF64).type(), TypeId::kF64);
+  EXPECT_TRUE(empty(AggKind::kAvg, TypeId::kI64).is_null());
+  EXPECT_EQ(empty(AggKind::kAvg, TypeId::kI64).type(), TypeId::kF64);
+  EXPECT_TRUE(empty(AggKind::kMin, TypeId::kStr).is_null());
+  EXPECT_TRUE(empty(AggKind::kMax, TypeId::kStr).is_null());
+  EXPECT_TRUE(empty(AggKind::kMin, TypeId::kI64).is_null());
+  EXPECT_TRUE(empty(AggKind::kMax, TypeId::kF64).is_null());
+  EXPECT_TRUE(empty(AggKind::kMin, TypeId::kTs).is_null());
+  EXPECT_EQ(empty(AggKind::kMin, TypeId::kTs).type(), TypeId::kTs);
+  EXPECT_EQ(empty(AggKind::kSum, TypeId::kI64).ToString(), "NULL");
 }
+
+// The one-group AggColumn of `kind` over `type`, folded over `col`.
+ops::AggColumn OneGroup(AggKind kind, TypeId type, const Bat* col) {
+  ops::AggColumn c(kind, type);
+  c.Resize(1);
+  if (col != nullptr) c.FoldAll(col, col->size(), 0);
+  return c;
+}
+
+// Finalized cell of group `g` of `c`.
+std::string FinalCell(const ops::AggColumn& c, uint64_t g = 0) {
+  auto col = c.Finalize();
+  EXPECT_TRUE(col.ok()) << col.status().ToString();
+  return col.ok() ? (*col)->GetValue(g).ToString() : "?";
+}
+
+constexpr uint32_t kGroup0 = 0;
 
 TEST(AggStateTest, ScaledMergeEqualsRepeatedMerge) {
   // Product rule of the pre-aggregated delta join: pairing a group of
   // rows with `times` opposite-side rows replicates count/sums `times`
   // times but leaves min/max untouched.
-  auto col = Bat::MakeI64({4, -1, 7});
-  ops::AggState other;
-  other.AddColumn(*col, nullptr);
+  auto ints = Bat::MakeI64({4, -1, 7});
+  auto dbls = Bat::MakeF64({4, -1, 7});
+  const uint64_t three = 3;
+  for (const Bat* col : {ints.get(), dbls.get()}) {
+    for (AggKind k : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                      AggKind::kMin, AggKind::kMax}) {
+      const ops::AggColumn other = OneGroup(k, col->type(), col);
+      ops::AggColumn scaled = OneGroup(k, col->type(), nullptr);
+      scaled.ScaledMerge(other, {&kGroup0, 1}, {&kGroup0, 1}, {&three, 1});
+      ops::AggColumn repeated = OneGroup(k, col->type(), nullptr);
+      for (int i = 0; i < 3; ++i) repeated.Merge(other, {&kGroup0, 1});
 
-  ops::AggState scaled;
-  scaled.ScaledMerge(other, 3);
-  ops::AggState repeated;
-  for (int i = 0; i < 3; ++i) repeated.Merge(other);
-
-  EXPECT_EQ(scaled.count, repeated.count);
-  EXPECT_EQ(scaled.isum, repeated.isum);
-  EXPECT_EQ(scaled.dsum, repeated.dsum);
-  for (AggKind k : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
-                    AggKind::kMin, AggKind::kMax}) {
-    EXPECT_EQ(scaled.Finalize(k, TypeId::kI64).ToString(),
-              repeated.Finalize(k, TypeId::kI64).ToString())
-        << ops::AggKindName(k);
+      EXPECT_EQ(scaled.count(0), repeated.count(0));
+      EXPECT_EQ(FinalCell(scaled), FinalCell(repeated))
+          << ops::AggKindName(k) << " over " << TypeName(col->type());
+    }
   }
 }
 
 TEST(AggStateTest, ScaledMergeZeroTimesIsIdentity) {
   auto col = Bat::MakeI64({5});
-  ops::AggState other;
-  other.AddColumn(*col, nullptr);
-  ops::AggState s;
-  s.ScaledMerge(other, 0);
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_TRUE(s.Finalize(AggKind::kSum, TypeId::kI64).is_null());
+  const ops::AggColumn other = OneGroup(AggKind::kSum, TypeId::kI64, col.get());
+  ops::AggColumn s = OneGroup(AggKind::kSum, TypeId::kI64, nullptr);
+  const uint64_t zero = 0;
+  s.ScaledMerge(other, {&kGroup0, 1}, {&kGroup0, 1}, {&zero, 1});
+  EXPECT_EQ(s.count(0), 0u);
+  EXPECT_EQ(FinalCell(s), "NULL");
+}
+
+// Aggregates skip NULL argument cells: COUNT(col) counts the others and
+// SUM/AVG/MIN/MAX fold only them, on the scalar and the grouped path. A
+// group whose cells are all NULL has COUNT 0 and NULL everywhere else;
+// COUNT(*) still counts its rows.
+TEST(AggStateTest, NullCellsAreSkipped) {
+  auto v = Bat::MakeEmpty(TypeId::kI64);
+  const std::vector<std::optional<int64_t>> cells{10, std::nullopt, 5,
+                                                  std::nullopt, std::nullopt};
+  for (const std::optional<int64_t>& x : cells) {
+    if (x) {
+      v->AppendI64(*x);
+    } else {
+      v->AppendNull();
+    }
+  }
+  auto key = Bat::MakeI64({1, 1, 1, 2, 2});  // group 2: all NULL
+  const std::vector<std::pair<AggKind, TypeId>> aggs{
+      {AggKind::kCount, TypeId::kI64}, {AggKind::kCount, TypeId::kI64},
+      {AggKind::kSum, TypeId::kI64},   {AggKind::kAvg, TypeId::kI64},
+      {AggKind::kMin, TypeId::kI64},   {AggKind::kMax, TypeId::kI64}};
+  const std::vector<const Bat*> args{nullptr, v.get(), v.get(),
+                                     v.get(), v.get(), v.get()};
+  auto row = [&](const ops::GroupTable& t, uint64_t g) {
+    std::string out;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      out += Final(t, a, g).ToString() + "|";
+    }
+    return out;
+  };
+
+  auto head = v->Slice(0, 3);  // the group-1 rows alone, scalar
+  ops::GroupTable scalar({}, aggs);
+  ASSERT_TRUE(scalar.AddRows(3, {nullptr, head.get(), head.get(), head.get(),
+                                 head.get(), head.get()})
+                  .ok());
+  EXPECT_EQ(row(scalar, 0), "3|2|15|7.5|5|10|");
+
+  ops::GroupTable grouped({TypeId::kI64}, aggs);
+  ASSERT_TRUE(grouped.AddRows({key.get()}, args).ok());
+  EXPECT_EQ(row(grouped, 0), "3|2|15|7.5|5|10|");
+  EXPECT_EQ(row(grouped, 1), "2|0|NULL|NULL|NULL|NULL|");
+
+  // Merged from one-row partials, NULL-only ones included.
+  ops::GroupTable merged({TypeId::kI64}, aggs);
+  for (uint64_t r = 0; r < key->size(); ++r) {
+    auto k = key->Slice(r, r + 1);
+    auto x = v->Slice(r, r + 1);
+    ops::GroupTable part({TypeId::kI64}, aggs);
+    ASSERT_TRUE(part.AddRows({k.get()}, {nullptr, x.get(), x.get(), x.get(),
+                                         x.get(), x.get()})
+                    .ok());
+    ASSERT_TRUE(merged.Merge(part).ok());
+  }
+  EXPECT_EQ(row(merged, 0), "3|2|15|7.5|5|10|");
+  EXPECT_EQ(row(merged, 1), "2|0|NULL|NULL|NULL|NULL|");
+}
+
+// f64 MIN/MAX order NaN above every number (PostgreSQL's rule), so over
+// NaN, 5, 3 MAX is NaN and MIN is 3 whatever the row order, the partial
+// split, the path (scalar or grouped, fold, merge or scaled merge); over
+// NaN alone both are NaN.
+TEST(AggStateTest, NaNOrderIsPathIndependent) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<AggKind, TypeId>> aggs{
+      {AggKind::kMin, TypeId::kF64}, {AggKind::kMax, TypeId::kF64}};
+  auto render = [](const Value& v) {
+    return std::isnan(v.AsF64()) ? std::string("NaN") : v.ToString();
+  };
+  for (const auto& [input, want_min, want_max] :
+       std::vector<std::tuple<std::vector<double>, std::string, std::string>>{
+           {{nan, 5, 3}, "3", "NaN"}, {{nan, nan}, "NaN", "NaN"}}) {
+    std::vector<double> vals = input;
+    std::sort(vals.begin(), vals.end(),
+              [](double a, double b) { return ops::F64Less(a, b); });
+    do {
+      auto col = Bat::MakeF64(vals);
+      auto key = Bat::MakeI64(std::vector<int64_t>(vals.size(), 7));
+      const uint64_t n = vals.size();
+      // Every split of the rows into a prefix and a suffix partial.
+      for (uint64_t cut = 0; cut <= n; ++cut) {
+        auto c1 = col->Slice(0, cut);
+        auto c2 = col->Slice(cut, n);
+        auto k1 = key->Slice(0, cut);
+        auto k2 = key->Slice(cut, n);
+        ops::GroupTable s1({}, aggs), s2({}, aggs);
+        ASSERT_TRUE(s1.AddRows(cut, {c1.get(), c1.get()}).ok());
+        ASSERT_TRUE(s2.AddRows(n - cut, {c2.get(), c2.get()}).ok());
+        ASSERT_TRUE(s1.Merge(s2).ok());
+        ops::GroupTable g1({TypeId::kI64}, aggs), g2({TypeId::kI64}, aggs);
+        ASSERT_TRUE(g1.AddRows({k1.get()}, {c1.get(), c1.get()}).ok());
+        ASSERT_TRUE(g2.AddRows({k2.get()}, {c2.get(), c2.get()}).ok());
+        ASSERT_TRUE(g1.Merge(g2).ok());
+        // The delta pre-aggregation's product rule over the same split.
+        std::vector<ops::AggColumn> scaled;
+        for (const auto& [kind, type] : aggs) {
+          scaled.push_back(OneGroup(kind, type, nullptr));
+          const uint64_t twice = 2;
+          for (const Bat* part : {c1.get(), c2.get()}) {
+            const ops::AggColumn p = OneGroup(kind, type, part);
+            scaled.back().ScaledMerge(p, {&kGroup0, 1}, {&kGroup0, 1},
+                                      {&twice, 1});
+          }
+        }
+        const std::string where = StrFormat(
+            "rows %s cut %llu", col->ToString().c_str(),
+            static_cast<unsigned long long>(cut));
+        for (const ops::GroupTable* t : {&s1, &g1}) {
+          EXPECT_EQ(render(Final(*t, 0)), want_min) << where;
+          EXPECT_EQ(render(Final(*t, 1)), want_max) << where;
+        }
+        for (size_t a = 0; a < 2; ++a) {
+          auto fin = scaled[a].Finalize();
+          ASSERT_TRUE(fin.ok());
+          EXPECT_EQ(render((*fin)->GetValue(0)), a == 0 ? want_min : want_max)
+              << where;
+        }
+      }
+    } while (std::next_permutation(
+        vals.begin(), vals.end(),
+        [](double a, double b) { return ops::F64Less(a, b); }));
+  }
+}
+
+// States are flat columns: a count(*) + sum(i64) partial over 5 000
+// groups holds at most 48 bytes per group beyond what the same groups
+// cost without aggregates (keys, row counts, key map). Two boxed-Value
+// states of 128 bytes each per group would need 256.
+TEST(GroupTableTest, FlatStateFootprint) {
+  constexpr int64_t kGroups = 5000;
+  std::vector<int64_t> ks(kGroups), vs(kGroups);
+  for (int64_t i = 0; i < kGroups; ++i) {
+    ks[i] = i * 7919;
+    vs[i] = i;
+  }
+  auto keys = Bat::MakeI64(ks);
+  auto vals = Bat::MakeI64(vs);
+  ops::GroupTable bare({TypeId::kI64}, {});
+  ASSERT_TRUE(bare.AddRows({keys.get()}, {}).ok());
+  ops::GroupTable partial({TypeId::kI64}, {{AggKind::kCount, TypeId::kI64},
+                                           {AggKind::kSum, TypeId::kI64}});
+  ASSERT_TRUE(partial.AddRows({keys.get()}, {nullptr, vals.get()}).ok());
+  ASSERT_EQ(partial.num_groups(), static_cast<uint64_t>(kGroups));
+  EXPECT_LE(partial.MemoryBytes(), bare.MemoryBytes() + 48 * kGroups)
+      << partial.MemoryBytes() - bare.MemoryBytes() << " state bytes";
 }
 
 TEST(GroupTableTest, MergePartialsEqualsWhole) {
@@ -747,7 +936,8 @@ TEST(SortTest, WithCandidates) {
 //
 // GroupTable against a brute-force reference that shares none of its code:
 // a std::map from key tuple to group (a row with a NaN key cell skips the
-// map, since each NaN is its own group) and plain per-group accumulators.
+// map, since each NaN is its own group) and plain per-group accumulators
+// (MIN/MAX in PostgreSQL's order, with NaN above every number).
 // Keys are 1-3 columns over all five types with small domains (NaN, -0.0,
 // duplicate and empty strings); the rows are split at random into
 // contiguous, possibly empty partials, each grouped by its own table and
@@ -760,8 +950,9 @@ constexpr TypeId kAllTypes[] = {TypeId::kBool, TypeId::kI64, TypeId::kF64,
 BatPtr OracleColumn(Rng& rng, TypeId t, uint64_t n, bool is_key) {
   static const char* const kStrs[] = {"", "a", "b", "ab", "a"};
   static const double kKeyF64[] = {0.0, -0.0, 1.5, -2.25, NAN, 3.0};
-  // Argument values stay NaN-free: MIN/MAX over NaN depend on fold order.
-  static const double kArgF64[] = {0.0, -0.0, 0.1, 1e16, -3.75, 2.5, 0.3};
+  // Argument values include NaN, which MIN/MAX order above every number.
+  static const double kArgF64[] = {0.0,  -0.0, 0.1, 1e16,
+                                   -3.75, 2.5,  0.3, NAN};
   const int64_t i64_hi = rng.Bernoulli(0.5) ? 3 : 1000;  // few or many groups
   BatPtr col = Bat::MakeEmpty(t);
   for (uint64_t i = 0; i < n; ++i) {
@@ -777,7 +968,7 @@ BatPtr OracleColumn(Rng& rng, TypeId t, uint64_t n, bool is_key) {
         break;
       case TypeId::kF64:
         col->AppendF64(is_key ? kKeyF64[rng.UniformInt(0, 5)]
-                              : kArgF64[rng.UniformInt(0, 6)]);
+                              : kArgF64[rng.UniformInt(0, 7)]);
         break;
       case TypeId::kStr:
         col->AppendStr(kStrs[rng.UniformInt(0, 4)]);
@@ -816,6 +1007,14 @@ struct OracleCase {
   std::vector<BatPtr> args;  // null for COUNT(*)
   uint64_t rows = 0;
 };
+
+/// The reference's MIN/MAX order: Value::Compare, except that a NaN
+/// equals every NaN and sorts above every number (PostgreSQL's rule).
+bool RefLess(const Value& a, const Value& b) {
+  if (a.type() == TypeId::kF64 && std::isnan(a.AsF64())) return false;
+  if (b.type() == TypeId::kF64 && std::isnan(b.AsF64())) return true;
+  return a.Compare(b) < 0;
+}
 
 /// Expected rows of `c` grouped as the partials [cuts[p], cuts[p+1]).
 std::vector<std::string> ReferenceRows(const OracleCase& c,
@@ -882,8 +1081,8 @@ std::vector<std::string> ReferenceRows(const OracleCase& c,
         } else if (v.type() == TypeId::kF64) {
           acc.dsum += v.AsF64();
         }
-        if (!grp.min[a] || v.Compare(*grp.min[a]) < 0) grp.min[a] = v;
-        if (!grp.max[a] || v.Compare(*grp.max[a]) > 0) grp.max[a] = v;
+        if (!grp.min[a] || RefLess(v, *grp.min[a])) grp.min[a] = v;
+        if (!grp.max[a] || RefLess(*grp.max[a], v)) grp.max[a] = v;
       }
     }
   }

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "bat/ops_aggregate.h"
+#include "bat/ops_group.h"
 #include "bat/ops_select.h"
 #include "core/engine.h"
 #include "tests/test_util.h"
@@ -311,31 +313,47 @@ TEST_P(AggMergePartition, AnyPartitionMergesToWhole) {
   for (auto& x : data) x = rng.UniformDouble(-100, 100);
   auto whole_col = Bat::MakeF64(data);
 
-  ops::AggState whole;
-  whole.AddColumn(*whole_col, nullptr);
+  // One scalar table holding every aggregate kind over the column.
+  const std::vector<ops::AggKind> kinds{
+      ops::AggKind::kCount, ops::AggKind::kSum, ops::AggKind::kMin,
+      ops::AggKind::kMax, ops::AggKind::kAvg};
+  std::vector<std::pair<ops::AggKind, TypeId>> layout;
+  for (ops::AggKind k : kinds) layout.emplace_back(k, TypeId::kF64);
+  auto fold = [&](const Bat& col) {
+    ops::GroupTable t({}, layout);
+    EXPECT_TRUE(
+        t.AddRows(col.size(), std::vector<const Bat*>(kinds.size(), &col))
+            .ok());
+    return t;
+  };
+  const ops::GroupTable whole = fold(*whole_col);
 
   // Random partition into 1..10 contiguous chunks.
-  ops::AggState merged;
+  ops::GroupTable merged({}, layout);
   uint64_t pos = 0;
   while (pos < n) {
     const uint64_t len =
         std::min<uint64_t>(n - pos, 1 + rng.Next() % (n / 3 + 1));
     auto chunk = whole_col->Slice(pos, pos + len);
-    ops::AggState part;
-    part.AddColumn(*chunk, nullptr);
-    merged.Merge(part);
+    ASSERT_TRUE(merged.Merge(fold(*chunk)).ok());
     pos += len;
   }
+  auto whole_cells = whole.Finalize();
+  auto merged_cells = merged.Finalize();
+  ASSERT_TRUE(whole_cells.ok() && merged_cells.ok());
+  auto cell = [&](const std::vector<BatPtr>& cols, ops::AggKind k) {
+    const size_t a = std::find(kinds.begin(), kinds.end(), k) - kinds.begin();
+    return cols[a]->GetValue(0);
+  };
   for (ops::AggKind k :
        {ops::AggKind::kCount, ops::AggKind::kSum, ops::AggKind::kMin,
         ops::AggKind::kMax}) {
-    EXPECT_EQ(merged.Finalize(k, TypeId::kF64).ToString(),
-              whole.Finalize(k, TypeId::kF64).ToString());
+    EXPECT_EQ(cell(*merged_cells, k).ToString(),
+              cell(*whole_cells, k).ToString());
   }
   // AVG within floating-point tolerance (associativity of the division).
-  EXPECT_NEAR(merged.Finalize(ops::AggKind::kAvg, TypeId::kF64).AsF64(),
-              whole.Finalize(ops::AggKind::kAvg, TypeId::kF64).AsF64(),
-              1e-9);
+  EXPECT_NEAR(cell(*merged_cells, ops::AggKind::kAvg).AsF64(),
+              cell(*whole_cells, ops::AggKind::kAvg).AsF64(), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggMergePartition, ::testing::Range(1, 13));
