@@ -8,9 +8,9 @@
 // emits the Graphviz query network (Fig. 1/Fig. 3 reproduction).
 //
 // Part 2 (threaded engines): the scheduler scaling sweep — fixed query
-// count, worker count swept — measuring fire throughput of the sharded
-// ready-queue scheduler (fires/s should grow with workers instead of
-// plateauing at 2, the failure mode of the old single-mutex design).
+// count, worker count swept — measuring fire throughput of the one-queue
+// scheduler, and the fires and emissions each worker count produces (the
+// same input must give the same emissions at every point).
 // Emits BENCH_scheduler.json (see docs/BENCHMARKS.md for the schema).
 //
 // `--smoke` shrinks the row count and skips the sync table so CI can run
@@ -66,21 +66,22 @@ struct SweepPoint {
   int workers = 0;
   Micros wall = 0;
   SchedulerStats sched;
+  uint64_t emissions = 0;  // summed over the sweep's queries
 };
 
 SweepPoint RunSweep(int workers, int queries,
                     const std::vector<std::vector<BatPtr>>& batches) {
   EngineOptions o;
-  o.scheduler_workers = workers;  // shards default to one per worker
+  o.scheduler_workers = workers;
   Engine engine(o);
   DC_CHECK_OK(engine.Execute(workload::PacketDdl("pkts")));
+  std::vector<int> qids;
   for (int i = 0; i < queries; ++i) {
-    DC_CHECK_OK(engine
-                    .SubmitContinuous(QuerySql(i),
-                                      QueryOpts(ExecMode::kIncremental,
-                                                StrFormat("q%d", i),
-                                                bench::NullSink()))
-                    .status());
+    auto qid = engine.SubmitContinuous(
+        QuerySql(i), QueryOpts(ExecMode::kIncremental, StrFormat("q%d", i),
+                               bench::NullSink()));
+    DC_CHECK_OK(qid.status());
+    qids.push_back(*qid);
   }
   Stopwatch watch;
   for (const auto& batch : batches) {
@@ -94,6 +95,9 @@ SweepPoint RunSweep(int workers, int queries,
   p.workers = workers;
   p.wall = watch.ElapsedMicros();
   p.sched = engine.SchedStats();
+  for (int qid : qids) {
+    p.emissions += engine.GetFactory(qid)->Stats().emissions;
+  }
   return p;
 }
 
@@ -113,16 +117,15 @@ void WriteSchedulerJson(const std::vector<SweepPoint>& points, int queries,
     const double wall_s =
         static_cast<double>(p.wall) / static_cast<double>(kMicrosPerSecond);
     fprintf(f,
-            "    {\"workers\": %d, \"shards\": %zu, \"wall_ms\": %.3f, "
+            "    {\"workers\": %d, \"wall_ms\": %.3f, "
             "\"fires\": %llu, \"fires_per_s\": %.1f, \"rows_per_s\": %.1f, "
-            "\"steals\": %llu, \"enqueues\": %llu, \"spurious_pops\": %llu, "
-            "\"notifications\": %llu}%s\n",
-            p.workers, p.sched.shards.size(),
-            static_cast<double>(p.wall) / 1000.0,
+            "\"emissions\": %llu, \"enqueues\": %llu, "
+            "\"spurious_pops\": %llu, \"notifications\": %llu}%s\n",
+            p.workers, static_cast<double>(p.wall) / 1000.0,
             static_cast<unsigned long long>(p.sched.fires),
             static_cast<double>(p.sched.fires) / wall_s,
             static_cast<double>(rows) / wall_s,
-            static_cast<unsigned long long>(p.sched.steals),
+            static_cast<unsigned long long>(p.emissions),
             static_cast<unsigned long long>(p.sched.enqueues),
             static_cast<unsigned long long>(p.sched.spurious_pops),
             static_cast<unsigned long long>(p.sched.notifications),
@@ -272,10 +275,10 @@ int main(int argc, char** argv) {
   if (!want_dot) {
     Banner("E5b", "scheduler scaling: fire throughput vs worker count");
     const int sweep_queries = smoke ? 8 : 16;
-    printf("\n%d queries, %llu rows, shards = workers, stealing on\n",
-           sweep_queries, static_cast<unsigned long long>(rows));
-    printf("\n%7s | %10s %10s %12s | %8s %10s %10s\n", "workers", "wall ms",
-           "fires", "fires/s", "steals", "spurious", "notifs");
+    printf("\n%d queries, %llu rows, one ready queue\n", sweep_queries,
+           static_cast<unsigned long long>(rows));
+    printf("\n%7s | %10s %10s %12s | %9s %10s %10s\n", "workers", "wall ms",
+           "fires", "fires/s", "emissions", "spurious", "notifs");
     printf("%s\n", std::string(80, '-').c_str());
     std::vector<SweepPoint> points;
     for (int workers : {1, 2, 4}) {
@@ -283,11 +286,11 @@ int main(int argc, char** argv) {
       const SweepPoint& p = points.back();
       const double wall_s =
           static_cast<double>(p.wall) / static_cast<double>(kMicrosPerSecond);
-      printf("%7d | %10.1f %10llu %12.1f | %8llu %10llu %10llu\n", p.workers,
+      printf("%7d | %10.1f %10llu %12.1f | %9llu %10llu %10llu\n", p.workers,
              static_cast<double>(p.wall) / 1000.0,
              static_cast<unsigned long long>(p.sched.fires),
              static_cast<double>(p.sched.fires) / wall_s,
-             static_cast<unsigned long long>(p.sched.steals),
+             static_cast<unsigned long long>(p.emissions),
              static_cast<unsigned long long>(p.sched.spurious_pops),
              static_cast<unsigned long long>(p.sched.notifications));
     }

@@ -1,19 +1,25 @@
-// Tracing overhead guard (ISSUE 9): the event tracer must be effectively
-// free when EngineOptions::enable_tracing is off (one relaxed atomic load
-// per span site) and cheap when on. This harness runs a fixed deterministic
+// Tracing overhead guard: the event tracer must be effectively free when
+// EngineOptions::enable_tracing is off (one relaxed atomic load per span
+// site) and cheap when on. This harness runs a fixed deterministic
 // workload — sync engine, incremental windowed aggregate, bulk batches —
-// with tracing off and on, interleaved, and fails (exit 1) if the best-of-N
-// traced time exceeds the best-of-N untraced time by more than ~3% plus an
-// absolute slack that absorbs timer noise at smoke scale.
+// with tracing off and on, in many short interleaved repetitions (the
+// order alternates per repetition, so a burst of host load falls on both
+// sides), timing each run's CPU time. It fails (exit 1) if the median
+// traced time exceeds the median untraced time by more than the ratio
+// bench/overhead_gate.h allows: 5 % plus the untraced runs' relative
+// interquartile range, never more than 25 %.
 //
 // Side product: writes trace.json (Chrome trace_event JSON, loadable in
 // Perfetto / chrome://tracing) from the traced runs, and checks the dump
 // round-trips the expected span names. CI uploads it as an artifact.
 
+#include <time.h>
+
 #include <algorithm>
 #include <string>
 
 #include "bench/bench_common.h"
+#include "bench/overhead_gate.h"
 #include "monitor/trace.h"
 #include "workload/generators.h"
 
@@ -25,15 +31,23 @@ using bench::FeedAndPump;
 using workload::SensorBatch;
 using workload::SensorConfig;
 
-constexpr uint64_t kRows = 400000;
+// ~25-40 ms a run: short runs, many of them, keep the medians steady.
+constexpr uint64_t kRows = 100000;
 constexpr uint64_t kBatchRows = 512;
-constexpr int kReps = 5;
+constexpr int kReps = 41;
 
-// Relative + absolute slack. The absolute floor keeps sub-second smoke
-// runs from flaking on scheduler jitter a pure percentage would amplify.
-constexpr double kMaxOverheadFrac = 0.03;
-constexpr Micros kAbsSlackMicros = 75 * kMicrosPerMilli;
+/// CPU time this process has used, in µs. The workload runs on the
+/// calling thread of a synchronous engine, so CPU time is its cost, and
+/// unlike wall time it does not count the time other processes on a
+/// shared host hold the core.
+Micros ProcessCpuMicros() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<Micros>(ts.tv_sec) * kMicrosPerSecond +
+         static_cast<Micros>(ts.tv_nsec / 1000);
+}
 
+/// CPU time of feeding the workload through a fresh engine, in µs.
 Micros RunOnce(bool tracing, const std::vector<std::vector<BatPtr>>& batches) {
   EngineOptions opts = bench::Sync();
   opts.enable_tracing = tracing;
@@ -45,7 +59,9 @@ Micros RunOnce(bool tracing, const std::vector<std::vector<BatPtr>>& batches) {
       bench::QueryOpts(ExecMode::kIncremental, "trace_probe",
                        bench::NullSink()));
   DC_CHECK_OK(q.status());
-  return FeedAndPump(engine, "s", batches);
+  const Micros start = ProcessCpuMicros();
+  FeedAndPump(engine, "s", batches);
+  return ProcessCpuMicros() - start;
 }
 
 bool DumpAndCheckTrace() {
@@ -87,28 +103,35 @@ int main() {
 
   RunOnce(false, batches);  // warm-up: page in code + allocator state
 
-  Micros best_off = INT64_MAX;
-  Micros best_on = INT64_MAX;
+  std::vector<Micros> off_runs;
+  std::vector<Micros> on_runs;
   printf("\n%4s | %12s %12s\n", "rep", "off", "on");
   for (int rep = 0; rep < kReps; ++rep) {
-    const Micros off = RunOnce(false, batches);
-    const Micros on = RunOnce(true, batches);
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
+    // Alternate which side runs first, so a drift in the host's speed
+    // does not fall on one side.
+    Micros off = 0;
+    Micros on = 0;
+    if (rep % 2 == 0) {
+      off = RunOnce(false, batches);
+      on = RunOnce(true, batches);
+    } else {
+      on = RunOnce(true, batches);
+      off = RunOnce(false, batches);
+    }
+    off_runs.push_back(off);
+    on_runs.push_back(on);
     printf("%4d | %12s %12s\n", rep, FormatDuration(off).c_str(),
            FormatDuration(on).c_str());
   }
 
-  const Micros slack = std::max(
-      static_cast<Micros>(kMaxOverheadFrac * static_cast<double>(best_off)),
-      kAbsSlackMicros);
-  const Micros delta = best_on - best_off;
-  printf("\nbest off %s, best on %s, delta %+lld us (allowed +%lld us)\n",
-         FormatDuration(best_off).c_str(), FormatDuration(best_on).c_str(),
-         static_cast<long long>(delta), static_cast<long long>(slack));
+  const bench::OverheadVerdict v = bench::JudgeOverhead(off_runs, on_runs);
+  printf("\nmedian off %.2f ms, median on %.2f ms, ratio %.3f "
+         "(allowed %.3f: off spread %.3f)\n",
+         v.median_off / 1e3, v.median_on / 1e3, v.ratio, v.allowed,
+         v.off_spread);
 
   const bool trace_ok = DumpAndCheckTrace();
-  if (delta > slack) {
+  if (!v.pass) {
     printf("FAIL: tracing overhead above budget\n");
     return 1;
   }

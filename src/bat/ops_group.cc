@@ -12,11 +12,36 @@ namespace {
 
 /// Start of the per-row HashCombine chain over the key cells.
 constexpr uint64_t kHashSeed = 0x9ae16a3b2f90404fULL;
+/// What a NULL key cell contributes to its row's hash chain.
+constexpr uint64_t kNullCellHash = 0x6a09e667f3bcc908ULL;
+
+/// Hash of the non-NULL cell `r` of `col`.
+uint64_t CellHash(const Bat& col, uint64_t r) {
+  switch (col.type()) {
+    case TypeId::kBool:
+      return HashU64(col.BoolData()[r]);
+    case TypeId::kI64:
+    case TypeId::kTs:
+      return HashI64(col.I64Data()[r]);
+    case TypeId::kF64:
+      return HashDouble(col.F64Data()[r]);
+    case TypeId::kStr:
+      return HashBytes(col.StrAt(r));
+  }
+  return 0;
+}
 
 /// Folds column `col` into the running row hashes `hs`.
 void HashColumn(const Bat& col, std::vector<uint64_t>* hs) {
   uint64_t* h = hs->data();
   const uint64_t n = col.size();
+  if (col.has_nulls()) {
+    for (uint64_t r = 0; r < n; ++r) {
+      h[r] = HashCombine(h[r],
+                         col.IsNull(r) ? kNullCellHash : CellHash(col, r));
+    }
+    return;
+  }
   switch (col.type()) {
     case TypeId::kBool: {
       const auto d = col.BoolData();
@@ -45,7 +70,13 @@ void HashColumn(const Bat& col, std::vector<uint64_t>* hs) {
 }
 
 /// Cell equality of a[i] and b[j] (same type): NaN != NaN, -0.0 == 0.0.
+/// With `kNullable`, NULL equals NULL and nothing else, as SQL groups.
+template <bool kNullable>
 bool CellsEqual(const Bat& a, uint64_t i, const Bat& b, uint64_t j) {
+  if constexpr (kNullable) {
+    const bool a_null = a.IsNull(i);
+    if (a_null || b.IsNull(j)) return a_null && b.IsNull(j);
+  }
   switch (a.type()) {
     case TypeId::kBool:
       return a.BoolData()[i] == b.BoolData()[j];
@@ -61,21 +92,28 @@ bool CellsEqual(const Bat& a, uint64_t i, const Bat& b, uint64_t j) {
 }
 
 /// The f64 columns of a key tuple, the only ones that can hold a NaN.
-std::vector<std::span<const double>> F64Keys(
-    const std::vector<const Bat*>& keys) {
-  std::vector<std::span<const double>> f64;
+std::vector<const Bat*> F64Keys(const std::vector<const Bat*>& keys) {
+  std::vector<const Bat*> f64;
   for (const Bat* k : keys) {
-    if (k->type() == TypeId::kF64) f64.push_back(k->F64Data());
+    if (k->type() == TypeId::kF64) f64.push_back(k);
   }
   return f64;
 }
 
-/// True when row `r`'s key tuple holds a NaN, so it matches no group.
-bool KeyHasNaN(const std::vector<std::span<const double>>& f64, uint64_t r) {
-  for (std::span<const double> d : f64) {
-    if (std::isnan(d[r])) return true;
+/// True when row `r`'s key tuple holds a NaN, so it matches no group. A
+/// NULL cell is no NaN, whatever its payload.
+bool KeyHasNaN(const std::vector<const Bat*>& f64, uint64_t r) {
+  for (const Bat* k : f64) {
+    if (std::isnan(k->F64Data()[r]) && !k->IsNull(r)) return true;
   }
   return false;
+}
+
+/// True when some column holds a NULL cell.
+template <typename BatRef>
+bool AnyNulls(const std::vector<BatRef>& cols) {
+  return std::any_of(cols.begin(), cols.end(),
+                     [](const auto& c) { return c->has_nulls(); });
 }
 
 /// Every NaN key hashes alike, yet each is a group of its own: salting its
@@ -86,10 +124,11 @@ uint64_t SaltNaN(uint64_t h, uint64_t new_group) {
 }
 
 /// True when group `g` of `mine` has the key tuple of row `r` of `theirs`.
+template <bool kNullable>
 bool RowEq(const std::vector<BatPtr>& mine, uint64_t g,
            const std::vector<const Bat*>& theirs, uint64_t r) {
   for (size_t k = 0; k < mine.size(); ++k) {
-    if (!CellsEqual(*mine[k], g, *theirs[k], r)) return false;
+    if (!CellsEqual<kNullable>(*mine[k], g, *theirs[k], r)) return false;
   }
   return true;
 }
@@ -164,6 +203,7 @@ void GroupTable::AssignTyped(std::span<const T> data,
   }
 }
 
+template <bool kNullable>
 void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
                                std::vector<uint32_t>* gids) {
   const uint64_t n = keys[0]->size();
@@ -178,7 +218,7 @@ void GroupTable::AssignGeneric(const std::vector<const Bat*>& keys,
     uint32_t g = map_.Find(
         h,
         [&](uint32_t id) {
-          return map_.hash(id) == h && RowEq(keys_, id, keys, r);
+          return map_.hash(id) == h && RowEq<kNullable>(keys_, id, keys, r);
         },
         &s);
     if (g == KeyMap::kNone) {
@@ -224,20 +264,21 @@ Status GroupTable::AddRows(const std::vector<const Bat*>& keys,
     if (keys[k]->type() != key_types_[k] || keys[k]->size() != n) {
       return Status::InvalidArgument("GroupTable: key column mismatch");
     }
-    if (keys[k]->has_nulls()) {
-      return Status::Internal("GroupTable: NULL in a group key column");
-    }
   }
   DC_RETURN_NOT_OK(CheckValues(values, n));
   if (n == 0) return Status::OK();
 
   std::vector<uint32_t> gids(n);
-  if (keys.size() == 1 && StoredAsI64(key_types_[0])) {
+  if (AnyNulls(keys) || AnyNulls(keys_)) {
+    // A NULL key (in the rows, or a NULL group already here) takes the
+    // null-aware generic path; the typed probes compare payloads only.
+    AssignGeneric<true>(keys, &gids);
+  } else if (keys.size() == 1 && StoredAsI64(key_types_[0])) {
     AssignTyped(keys[0]->I64Data(), &gids);
   } else if (keys.size() == 1 && key_types_[0] == TypeId::kF64) {
     AssignTyped(keys[0]->F64Data(), &gids);
   } else {
-    AssignGeneric(keys, &gids);
+    AssignGeneric<false>(keys, &gids);
   }
 
   for (uint64_t r = 0; r < n; ++r) ++counts_[gids[r]];
@@ -286,6 +327,7 @@ Status GroupTable::Merge(const GroupTable& other) {
     std::vector<const Bat*> theirs;
     for (const BatPtr& k : other.keys_) theirs.push_back(k.get());
     const auto f64 = F64Keys(theirs);
+    const bool nullable = AnyNulls(theirs) || AnyNulls(keys_);
     for (uint64_t og = 0; og < other.num_groups(); ++og) {
       // Re-salt a NaN group: ids of different tables' NaN groups collide.
       const uint64_t h = !f64.empty() && KeyHasNaN(f64, og)
@@ -295,7 +337,9 @@ Status GroupTable::Merge(const GroupTable& other) {
       uint32_t g = map_.Find(
           h,
           [&](uint32_t id) {
-            return map_.hash(id) == h && RowEq(keys_, id, theirs, og);
+            return map_.hash(id) == h &&
+                   (nullable ? RowEq<true>(keys_, id, theirs, og)
+                             : RowEq<false>(keys_, id, theirs, og));
           },
           &s);
       if (g == KeyMap::kNone) {

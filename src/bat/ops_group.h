@@ -33,10 +33,12 @@ namespace dc::ops {
 /// over no rows, so a scalar aggregate emits its count-0 row and merges
 /// through the same path as a grouped one.
 ///
-/// Key equality is cell equality: each NaN key is its own group, and -0.0
-/// and 0.0 share one. A NaN key's hash is salted with its group id, so
-/// NaN groups spread over the slot array rather than forming one probe
-/// cluster. Folds run rows in order, then merged tables in order, so float
+/// Key equality is cell equality: each NaN key is its own group, -0.0 and
+/// 0.0 share one, and all NULL cells of a key column share one (SQL
+/// grouping); a NULL group's output key cell is NULL. Only a table whose
+/// rows or groups hold a NULL key pays for the NULL checks. A NaN key's
+/// hash is salted with its group id, so NaN groups spread over the slot
+/// array rather than forming one probe cluster. Folds run rows in order, then merged tables in order, so float
 /// sums are reproducible. Aggregates skip NULL argument cells (see
 /// AggColumn); f64 MIN/MAX follow F64Less, so NaN wins MAX and loses MIN
 /// on every path.
@@ -54,9 +56,9 @@ class GroupTable {
              std::vector<std::pair<AggKind, TypeId>> aggs);
 
   /// Folds rows [0, n): `keys[k]` is the k-th key column and `values[a]`
-  /// the a-th aggregate's argument column (null for COUNT(*)). A key
-  /// column with a null bitmap is refused with Status::Internal: NULLs
-  /// never reach grouping (streams refuse them at ingest).
+  /// the a-th aggregate's argument column (null for COUNT(*)). NULL key
+  /// cells (table columns; streams refuse NULLs at ingest) group
+  /// together.
   Status AddRows(const std::vector<const Bat*>& keys,
                  const std::vector<const Bat*>& values);
   /// Scalar tables: folds `rows` rows of `values` into the one group.
@@ -94,7 +96,9 @@ class GroupTable {
   uint32_t AddGroup(size_t slot, uint64_t h);
   /// Grows every state column to num_groups().
   void ResizeStates();
-  /// Row-at-a-time grouping for several keys or a bool/str key.
+  /// Row-at-a-time grouping for several keys, a bool/str key, or (with
+  /// kNullable) keys that may hold NULL.
+  template <bool kNullable>
   void AssignGeneric(const std::vector<const Bat*>& keys,
                      std::vector<uint32_t>* gids);
   template <typename T>

@@ -57,7 +57,7 @@ int NodeStreamRel(const plan::BoundQuery& q, ExecMode mode) {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      scheduler_(Scheduler::Options{options.scheduler_workers}) {
+      scheduler_(options.scheduler_workers) {
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
     wal_env_ = options_.durability.env != nullptr ? options_.durability.env
@@ -384,39 +384,12 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
       entry.factory = fe.factory;
       entry.out_basket = fe.out_basket;
       entry.full_key = full_key;
-      Emitter::Sink sink = options.sink;
-      if (!sink) {
-        entry.collector = std::make_shared<ResultCollector>();
-        sink = entry.collector->AsSink();
-      }
-      entry.latency =
-          metrics_.GetHistogram("query." + name + ".latency_us");
-      entry.emitter = std::make_shared<Emitter>(
-          name + ".emit", entry.out_basket, fe.out_names, std::move(sink),
-          entry.latency);
-      if (options_.scheduler_workers > 0) entry.emitter->Start();
-      const int id = entry.id;
-      const FactoryPtr aliased = entry.factory;
-      uint64_t token = 0;
-      {
-        MutexLock lock(mu_);
-        if (wal_env_ != nullptr) {
-          token = restore != nullptr ? restore->token : next_submit_token_++;
-          if (token >= next_submit_token_) next_submit_token_ = token + 1;
-          entry.dur_token = token;
-          token_to_query_[token] = id;
-        }
-        queries_.emplace(id, std::move(entry));
-      }
       // The logged progress of an aliasing submit is informational: the
       // factory is already live, so its cursors may sit past undrained
       // emissions — replay therefore never restores from an alias's
       // record, only from the snapshot (above) or the founder's record.
-      if (wal_env_ != nullptr && !recovering_) {
-        LogSubmit(token, sql, options, aliased->SnapshotProgress(),
-                  aliased->node());
-      }
-      return id;
+      return PublishQuery(std::move(entry), fe.out_names, sql, options,
+                          restore, /*schedule=*/false);
     }
   }
 
@@ -546,15 +519,25 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     entry.full_key = full_key;
   }
 
+  return PublishQuery(std::move(entry), out_names, sql, options, restore,
+                      /*schedule=*/true);
+}
+
+int Engine::PublishQuery(QueryEntry entry,
+                         const std::vector<std::string>& out_names,
+                         std::string_view sql,
+                         const ContinuousOptions& options,
+                         const storage::WalSubmit* restore, bool schedule) {
   Emitter::Sink sink = options.sink;
   if (!sink) {
     entry.collector = std::make_shared<ResultCollector>();
     sink = entry.collector->AsSink();
   }
-  entry.latency = metrics_.GetHistogram("query." + name + ".latency_us");
-  entry.emitter = std::make_shared<Emitter>(name + ".emit", entry.out_basket,
-                                            out_names, std::move(sink),
-                                            entry.latency);
+  entry.latency =
+      metrics_.GetHistogram("query." + entry.name + ".latency_us");
+  entry.emitter = std::make_shared<Emitter>(entry.name + ".emit",
+                                            entry.out_basket, out_names,
+                                            std::move(sink), entry.latency);
   if (options_.scheduler_workers > 0) entry.emitter->Start();
 
   // Capture the progress to log BEFORE the factory reaches the
@@ -562,17 +545,19 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
   // advance the cursors, and a post-fire cursor in the kSubmit record
   // would make replay resume past emissions that were still undrained
   // in the output basket at the crash — a permanent output gap.
+  const bool log = wal_env_ != nullptr && !recovering_;
   storage::FactoryProgress logged_progress;
-  if (wal_env_ != nullptr && !recovering_) {
-    logged_progress = entry.factory->SnapshotProgress();
-  }
+  if (log) logged_progress = entry.factory->SnapshotProgress();
+  const SharedWindowNodePtr node = entry.factory->node();
 
-  // Arcs before registration so no pulse lands in the gap; the targeted
-  // kick inside AddFactory covers anything that arrived before the arcs.
-  for (Basket* basket : entry.factory->InputBaskets()) {
-    scheduler_.AttachArc(basket, entry.id);
+  if (schedule) {
+    // Arcs before registration so no pulse lands in the gap; the targeted
+    // kick inside AddFactory covers anything that arrived before the arcs.
+    for (Basket* basket : entry.factory->InputBaskets()) {
+      scheduler_.AttachArc(basket, entry.id);
+    }
+    scheduler_.AddFactory(entry.factory);
   }
-  scheduler_.AddFactory(entry.factory);
   const int id = entry.id;
   uint64_t token = 0;
   {
@@ -585,9 +570,7 @@ Result<int> Engine::SubmitInternal(std::string_view sql,
     }
     queries_.emplace(id, std::move(entry));
   }
-  if (wal_env_ != nullptr && !recovering_) {
-    LogSubmit(token, sql, options, logged_progress, node);
-  }
+  if (log) LogSubmit(token, sql, options, logged_progress, node);
   return id;
 }
 

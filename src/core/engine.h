@@ -93,7 +93,7 @@ struct EngineOptions {
   DurabilityOptions durability;
 
   /// Event tracing (docs/OBSERVABILITY.md): record scoped spans (factory
-  /// fires, basket appends/stalls, emitter drains, steals) into
+  /// fires, basket appends/stalls, emitter drains, WAL appends) into
   /// per-thread ring buffers, dumped via trace::DumpJson() as Chrome
   /// trace_event JSON. Process-wide and refcounted across engines; off
   /// (the default) costs one relaxed atomic load per span site — the
@@ -292,6 +292,18 @@ class Engine {
   Result<int> SubmitInternal(std::string_view sql, ContinuousOptions options,
                              const storage::WalSubmit* restore,
                              const storage::FactoryProgress* snap_progress);
+  /// The registration tail of both submit paths (a founded factory and a
+  /// tier-F alias): builds the query's sink (a ResultCollector unless
+  /// `options.sink` is set), its latency histogram and its emitter;
+  /// captures the factory progress to log; when `schedule` (a founded
+  /// factory) attaches the factory's arcs and hands it to the scheduler;
+  /// then assigns the durability token, publishes `entry` in queries_ and
+  /// logs the submit. An alias logs the live factory's progress, which is
+  /// informational only. Returns the query id.
+  int PublishQuery(QueryEntry entry, const std::vector<std::string>& out_names,
+                   std::string_view sql, const ContinuousOptions& options,
+                   const storage::WalSubmit* restore, bool schedule)
+      DC_REQUIRES(share_mu_);
   /// Appends a kSubmit record (token, sql, the given factory progress,
   /// founded-node identity) to the catalog log. `progress` must be
   /// captured before the factory could first fire (pre-AddFactory): a

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 
-#include "monitor/trace.h"
-#include "util/clock.h"
-
-#include "util/logging.h"
-
 namespace dc {
 
-Scheduler::Scheduler() : Scheduler(Options{}) {}
-
-Scheduler::Scheduler(Options options) : options_(options) {
-  int shards = options_.num_shards;
-  if (shards <= 0) shards = std::max(1, options_.num_workers);
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
+Scheduler::Scheduler(int num_workers) : num_workers_(num_workers) {}
 
 Scheduler::~Scheduler() {
   Stop();
@@ -35,18 +23,13 @@ Scheduler::~Scheduler() {
   }
 }
 
-int Scheduler::ShardOf(int factory_id) const {
-  const int n = static_cast<int>(shards_.size());
-  return ((factory_id % n) + n) % n;
-}
-
 void Scheduler::AddFactory(FactoryPtr factory) {
   const int id = factory->id();
   {
     WriterLock reg(reg_mu_);
     auto entry = std::make_unique<Entry>();
+    entry->id = id;
     entry->factory = std::move(factory);
-    entry->shard = ShardOf(id);
     entries_[id] = std::move(entry);
   }
   // A from-start reader may already be enabled; kick it once.
@@ -54,27 +37,25 @@ void Scheduler::AddFactory(FactoryPtr factory) {
 }
 
 void Scheduler::RemoveFactory(int factory_id) {
-  // Phase 1: quiesce the entry — wait out an in-flight fire (possibly on
-  // a stealing worker) and unlink a queued entry from its home ready
-  // queue. The wait is sliced so reg_mu_ is never held across a blocking
-  // wait (a pending writer would otherwise wedge the firing worker's
-  // completion path behind us).
+  // Phase 1: quiesce the entry — wait out an in-flight fire and unlink a
+  // queued entry from the ready queue. The wait is sliced so reg_mu_ is
+  // never held across a blocking wait (a pending writer would otherwise
+  // wedge the firing worker's pulse path behind us).
   while (true) {
     bool quiesced = false;
     {
       ReaderLock reg(reg_mu_);
       auto it = entries_.find(factory_id);
       if (it == entries_.end()) return;
-      Entry& e = *it->second;
-      Shard& s = *shards_[e.shard];
-      MutexLock lock(s.mu);
-      if (e.state == EntryState::kRunning) {
+      Entry* e = it->second.get();
+      MutexLock lock(mu_);
+      if (e->state == EntryState::kRunning) {
         // One 1 ms slice; the outer loop re-takes reg_mu_ and re-checks.
-        s.cv.WaitFor(s.mu, 1000);
+        done_cv_.WaitFor(mu_, 1000);
       }
-      if (e.state != EntryState::kRunning) {
-        if (e.state == EntryState::kQueued) std::erase(s.ready, factory_id);
-        e.state = EntryState::kRemoving;  // blocks re-enqueue until unlinked
+      if (e->state != EntryState::kRunning) {
+        if (e->state == EntryState::kQueued) std::erase(ready_, e);
+        e->state = EntryState::kRemoving;  // blocks re-enqueue until unlinked
         quiesced = true;
       }
     }
@@ -124,32 +105,21 @@ void Scheduler::AttachArc(Basket* basket, int factory_id) {
 bool Scheduler::EnqueueIfIdleLocked(int factory_id) {
   auto it = entries_.find(factory_id);
   if (it == entries_.end()) return false;
-  Entry& e = *it->second;
-  Shard& s = *shards_[e.shard];
-  MutexLock lock(s.mu);
-  if (e.state != EntryState::kIdle) return false;
-  e.state = EntryState::kQueued;
-  s.ready.push_back(factory_id);
-  ++s.stats.enqueues;
-  s.stats.max_queue_depth =
-      std::max<uint64_t>(s.stats.max_queue_depth, s.ready.size());
+  Entry* e = it->second.get();
+  if (e->state != EntryState::kIdle) return false;
+  e->state = EntryState::kQueued;
+  ready_.push_back(e);
+  ++stats_.enqueues;
+  stats_.max_queue_depth =
+      std::max<uint64_t>(stats_.max_queue_depth, ready_.size());
   return true;
 }
 
 void Scheduler::WakeWorkers(int newly_queued) {
-  if (newly_queued <= 0) return;
-  {
-    MutexLock lock(idle_mu_);
-    wake_tokens_ += static_cast<uint64_t>(newly_queued);
-  }
-  // With stealing on, any woken worker can claim the work, so one wake per
-  // enqueue suffices. With stealing off, only the owning worker can — and
-  // notify_one might pick a non-owner that consumes the token and parks
-  // again, stranding the entry until the fallback tick. Wake everyone.
-  if (newly_queued == 1 && options_.work_stealing) {
-    idle_cv_.NotifyOne();
-  } else {
-    idle_cv_.NotifyAll();
+  // Any worker can pop any entry, so one wakeup per entry is enough; a
+  // worker that is busy instead re-checks the queue before it waits.
+  for (int i = 0; i < std::min(newly_queued, num_workers_); ++i) {
+    work_cv_.NotifyOne();
   }
 }
 
@@ -160,19 +130,8 @@ void Scheduler::Pulse(Basket* basket) {
     ReaderLock reg(reg_mu_);
     auto it = arcs_.find(basket);
     if (it == arcs_.end()) return;
+    MutexLock lock(mu_);
     for (int id : it->second.factory_ids) {
-      if (EnqueueIfIdleLocked(id)) ++enqueued;
-    }
-  }
-  WakeWorkers(enqueued);
-}
-
-void Scheduler::Notify() {
-  notifications_.fetch_add(1, std::memory_order_relaxed);
-  int enqueued = 0;
-  {
-    ReaderLock reg(reg_mu_);
-    for (const auto& [id, e] : entries_) {
       if (EnqueueIfIdleLocked(id)) ++enqueued;
     }
   }
@@ -183,181 +142,129 @@ void Scheduler::NotifyFactory(int factory_id) {
   int enqueued = 0;
   {
     ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     if (EnqueueIfIdleLocked(factory_id)) enqueued = 1;
   }
   WakeWorkers(enqueued);
 }
 
-bool Scheduler::ClaimNext(int worker_index, Claimed* out) {
-  ReaderLock reg(reg_mu_);
-  const int num_shards = static_cast<int>(shards_.size());
-  const int num_workers = std::max(1, options_.num_workers);
-  // Pass 0: FIFO-pop the shards this worker owns. Pass 1: steal from the
-  // back of everyone else's queue.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (pass == 1 && !options_.work_stealing) break;
-    for (int k = 0; k < num_shards; ++k) {
-      const int si = (worker_index + k) % num_shards;
-      const bool owned = (si % num_workers) == worker_index;
-      if ((pass == 0) != owned) continue;
-      Shard& s = *shards_[si];
-      MutexLock lock(s.mu);
-      while (!s.ready.empty()) {
-        int id;
-        if (pass == 0) {
-          id = s.ready.front();
-          s.ready.pop_front();
-        } else {
-          id = s.ready.back();
-          s.ready.pop_back();
-        }
-        auto it = entries_.find(id);
-        if (it == entries_.end()) continue;                 // defensive
-        Entry& e = *it->second;
-        if (e.state != EntryState::kQueued) continue;       // defensive
-        e.state = EntryState::kRunning;
-        if (pass == 1) {
-          ++s.stats.steals;
-          trace::Instant("sched.steal", "sched", id);
-        }
-        out->id = id;
-        out->factory = e.factory;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-bool Scheduler::TryClaimById(int factory_id) {
+Scheduler::Entry* Scheduler::TryClaim(int factory_id) {
   ReaderLock reg(reg_mu_);
   auto it = entries_.find(factory_id);
-  if (it == entries_.end()) return false;
-  Entry& e = *it->second;
-  Shard& s = *shards_[e.shard];
-  MutexLock lock(s.mu);
-  if (e.state == EntryState::kQueued) {
-    std::erase(s.ready, factory_id);
-  } else if (e.state != EntryState::kIdle) {
-    return false;
+  if (it == entries_.end()) return nullptr;
+  Entry* e = it->second.get();
+  MutexLock lock(mu_);
+  if (e->state == EntryState::kQueued) {
+    std::erase(ready_, e);
+  } else if (e->state != EntryState::kIdle) {
+    return nullptr;
   }
-  e.state = EntryState::kRunning;
-  return true;
+  e->state = EntryState::kRunning;
+  return e;
 }
 
-void Scheduler::CompleteFire(const Claimed& c, bool fired, bool error,
-                             bool requeue) {
+void Scheduler::CompleteFire(Entry* e, bool fired, bool error, bool requeue) {
+  // Copied while the entry is still ours: once it is idle, a concurrent
+  // RemoveFactory may destroy it.
+  const int id = e->id;
+  const FactoryPtr factory = e->factory;
   {
-    ReaderLock reg(reg_mu_);
-    auto it = entries_.find(c.id);
-    if (it != entries_.end()) {
-      Entry& e = *it->second;
-      Shard& s = *shards_[e.shard];
-      MutexLock lock(s.mu);
-      if (fired) {
-        ++s.stats.fires;
-        if (error) ++s.stats.fire_errors;
-      } else {
-        ++s.stats.spurious_pops;
-      }
-      e.state = EntryState::kIdle;
-      // A RemoveFactory() may be waiting for this entry to stop running.
-      s.cv.NotifyAll();
+    MutexLock lock(mu_);
+    if (fired) {
+      ++stats_.fires;
+      if (error) ++stats_.fire_errors;
+    } else {
+      ++stats_.spurious_pops;
     }
+    e->state = EntryState::kIdle;
   }
+  // A RemoveFactory() may be waiting for this entry to stop running.
+  done_cv_.NotifyAll();
   // A factory can be multiply enabled (several windows completed by one
   // pulse) and pulses arriving mid-fire are dropped, so the authoritative
   // probe runs once more after every fire.
-  if (requeue && c.factory->CheckReady()) NotifyFactory(c.id);
+  if (requeue && factory->CheckReady()) NotifyFactory(id);
 }
 
-void Scheduler::WorkerLoop(int worker_index) {
+void Scheduler::WorkerLoop() {
   while (true) {
-    Claimed c;
-    if (ClaimNext(worker_index, &c)) {
-      bool fired = false;
-      bool error = false;
-      if (c.factory->CheckReady()) {
-        const Status st = c.factory->Fire();
-        fired = true;
-        error = !st.ok();
-      }
-      CompleteFire(c, fired, error, /*requeue=*/true);
-      continue;
+    Entry* e = nullptr;
+    {
+      MutexLock lock(mu_);
+      // Queued work is drained before a stop request is honoured.
+      while (ready_.empty() && !stop_) work_cv_.Wait(mu_);
+      if (ready_.empty()) return;  // stop_
+      e = ready_.front();
+      ready_.pop_front();
+      e->state = EntryState::kRunning;
     }
-    MutexLock lock(idle_mu_);
-    if (stop_) return;
-    if (wake_tokens_ == 0) {
-      // Event-driven wait with a fallback tick (guards against wake
-      // tokens lost to claim races).
-      const Micros deadline = SteadyMicros() + 20000;
-      while (!stop_ && wake_tokens_ == 0) {
-        const Micros now = SteadyMicros();
-        if (now >= deadline) break;
-        idle_cv_.WaitFor(idle_mu_, deadline - now);
-      }
+    bool fired = false;
+    bool error = false;
+    if (e->factory->CheckReady()) {
+      const Status st = e->factory->Fire();
+      fired = true;
+      error = !st.ok();
     }
-    if (stop_) return;
-    if (wake_tokens_ > 0) --wake_tokens_;
+    CompleteFire(e, fired, error, /*requeue=*/true);
   }
 }
 
 void Scheduler::Start() {
-  MutexLock lock(idle_mu_);
+  MutexLock lock(mu_);
   if (running_) return;
   running_ = true;
   stop_ = false;
-  wake_tokens_ = 0;
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  for (int i = 0; i < num_workers_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 void Scheduler::Stop() {
   // Exactly one caller becomes the joiner; it takes ownership of the
-  // worker threads under idle_mu_ and joins them outside it. A concurrent
+  // worker threads under mu_ and joins them outside it. A concurrent
   // Stop() waits for the joiner to finish instead of double-joining the
   // same std::thread objects, and only returns once the pool is down.
   // running_ stays true until the join completes so Start() cannot launch
   // a second pool mid-teardown.
   std::vector<std::thread> workers;
   {
-    MutexLock lock(idle_mu_);
-    while (stopping_) idle_cv_.Wait(idle_mu_);
+    MutexLock lock(mu_);
+    while (stopping_) done_cv_.Wait(mu_);
     if (!running_) return;
     stopping_ = true;
     stop_ = true;
     workers = std::move(workers_);
     workers_.clear();
   }
-  idle_cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (std::thread& t : workers) t.join();
   {
-    MutexLock lock(idle_mu_);
+    MutexLock lock(mu_);
     running_ = false;
     stopping_ = false;
   }
-  idle_cv_.NotifyAll();
+  done_cv_.NotifyAll();
 }
 
 int Scheduler::DrainReady() {
   int fires = 0;
   while (true) {
     // Deterministic pass: probe and fire in factory-id order.
-    std::vector<Claimed> snapshot;
+    std::vector<std::pair<int, FactoryPtr>> snapshot;
     {
       ReaderLock reg(reg_mu_);
       snapshot.reserve(entries_.size());
       for (const auto& [id, e] : entries_) {
-        snapshot.push_back(Claimed{id, e->factory});
+        snapshot.emplace_back(id, e->factory);
       }
     }
     int pass_fires = 0;
-    for (Claimed& c : snapshot) {
-      if (!c.factory->CheckReady()) continue;
-      if (!TryClaimById(c.id)) continue;
-      const Status st = c.factory->Fire();
-      CompleteFire(c, /*fired=*/true, !st.ok(), /*requeue=*/false);
+    for (const auto& [id, factory] : snapshot) {
+      if (!factory->CheckReady()) continue;
+      Entry* e = TryClaim(id);
+      if (e == nullptr) continue;
+      const Status st = factory->Fire();
+      CompleteFire(e, /*fired=*/true, !st.ok(), /*requeue=*/false);
       ++pass_fires;
     }
     fires += pass_fires;
@@ -370,10 +277,9 @@ bool Scheduler::AnyBusyOrReady() const {
   std::vector<FactoryPtr> factories;
   {
     ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
     factories.reserve(entries_.size());
     for (const auto& [id, e] : entries_) {
-      Shard& s = *shards_[e->shard];
-      MutexLock lock(s.mu);
       if (e->state == EntryState::kRunning) return true;
       factories.push_back(e->factory);
     }
@@ -386,28 +292,19 @@ bool Scheduler::AnyBusyOrReady() const {
 
 SchedulerStats Scheduler::Stats() const {
   SchedulerStats out;
-  out.notifications = notifications_.load(std::memory_order_relaxed);
   {
-    // Registry before shard locks (kSchedRegistry < kSchedShard).
+    // Registry before the scheduler mutex (kSchedRegistry < kSchedQueue).
     ReaderLock reg(reg_mu_);
+    MutexLock lock(mu_);
+    out = stats_;
     out.factories = entries_.size();
     for (const auto& [basket, arcs] : arcs_) {
       out.arcs += arcs.factory_ids.size();
     }
+    out.queue_depth = ready_.size();
   }
-  out.shards.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    MutexLock lock(s.mu);
-    SchedulerShardStats ss = s.stats;
-    ss.queue_depth = s.ready.size();
-    out.fires += ss.fires;
-    out.fire_errors += ss.fire_errors;
-    out.enqueues += ss.enqueues;
-    out.steals += ss.steals;
-    out.spurious_pops += ss.spurious_pops;
-    out.shards.push_back(ss);
-  }
+  out.notifications = notifications_.load(std::memory_order_relaxed);
+  out.shards = {{out.queue_depth, out.max_queue_depth}};
   return out;
 }
 

@@ -50,7 +50,7 @@ inline bool Enabled() {
 void AddEnableRef();
 void ReleaseEnableRef();
 
-/// Record a zero-duration event (ph:"X", dur 0) — e.g. a work steal.
+/// Record a zero-duration event (ph:"X", dur 0): a point-in-time marker.
 /// `name`/`cat` must be string literals.
 void Instant(const char* name, const char* cat, int64_t arg = 0);
 

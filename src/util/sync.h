@@ -120,9 +120,8 @@ enum class LockRank : int {
                         // the output-basket pulse into the scheduler)
   kSharedNode = 65,     // SharedWindowNode::mu_ (a tail Fire holds kFactory,
                         // calls into its shared node, which reads baskets)
-  kSchedRegistry = 70,  // Scheduler::reg_mu_ (reg -> shard -> idle)
-  kSchedShard = 80,     // Scheduler::Shard::mu
-  kSchedIdle = 90,      // Scheduler::idle_mu_
+  kSchedRegistry = 70,  // Scheduler::reg_mu_ (reg -> queue)
+  kSchedQueue = 80,     // Scheduler::mu_ (ready queue, entry states, pool)
   kBasket = 100,        // Basket::mu_ (listeners run outside it)
   kWal = 105,           // storage::WalWriter::mu_ (per-basket log file;
                         // appends run under kBasket via the WAL hook)
@@ -165,10 +164,8 @@ inline const char* LockRankName(LockRank r) {
       return "shared-node";
     case LockRank::kSchedRegistry:
       return "sched-registry";
-    case LockRank::kSchedShard:
-      return "sched-shard";
-    case LockRank::kSchedIdle:
-      return "sched-idle";
+    case LockRank::kSchedQueue:
+      return "sched-queue";
     case LockRank::kBasket:
       return "basket";
     case LockRank::kWal:

@@ -510,6 +510,76 @@ TEST_F(NullTableTest, StreamTableIncrementalMatchesFull) {
             testutil::EmissionStrings(Take(sf)));
 }
 
+// SQL puts every NULL group key in one group, whose key cell reads NULL;
+// a NULL's payload (0, "") never joins a real 0 or "".
+class NullGroupKeyTest : public testutil::SyncEngineTest {
+ protected:
+  // g(id, k, name) = (1, 7, a), (2, NULL, NULL), (3, 0, ""), (4, NULL, a).
+  void LoadTable() {
+    Exec("CREATE TABLE g (id int, k int, name string)");
+    BatPtr k = Bat::MakeEmpty(TypeId::kI64);
+    k->AppendI64(7);
+    k->AppendNull();
+    k->AppendI64(0);
+    k->AppendNull();
+    BatPtr name = Bat::MakeEmpty(TypeId::kStr);
+    name->AppendStr("a");
+    name->AppendNull();
+    name->AppendStr("");
+    name->AppendStr("a");
+    auto g = engine_.catalog().GetTable("g");
+    ASSERT_TRUE(g.ok());
+    ASSERT_TRUE(
+        (*g)->AppendColumns({Bat::MakeI64({1, 2, 3, 4}), k, name}).ok());
+  }
+
+  static std::vector<std::string> SortedRows(
+      const std::vector<ColumnSet>& emissions) {
+    std::vector<std::string> rows = testutil::RowStrings(emissions);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+};
+
+TEST_F(NullGroupKeyTest, OneTimeGroupByNullableColumn) {
+  LoadTable();
+  EXPECT_EQ(SortedRows({MustQuery("SELECT k, count(*), sum(id) FROM g "
+                                  "GROUP BY k")}),
+            (std::vector<std::string>{"0|1|3|", "7|1|1|", "NULL|2|6|"}));
+  EXPECT_EQ(SortedRows({MustQuery("SELECT k, name, count(*) FROM g "
+                                  "GROUP BY k, name")}),
+            (std::vector<std::string>{"0||1|", "7|a|1|", "NULL|NULL|1|",
+                                      "NULL|a|1|"}));
+}
+
+// A stream joined with the table, grouped by the table's nullable column:
+// INCREMENTAL (per-basic-window partials merged per emission) and FULL
+// emit the same groups.
+TEST_F(NullGroupKeyTest, StreamTableIncrementalMatchesFull) {
+  LoadTable();
+  Exec("CREATE STREAM s (ts timestamp, sk int)");
+  const std::string sql =
+      "SELECT k, count(*), sum(sk) FROM s [ROWS 4 SLIDE 2] "
+      "JOIN g ON s.sk = g.id GROUP BY k";
+  const int inc = Submit(sql, ExecMode::kIncremental);
+  const int full = Submit(sql, ExecMode::kFullReeval);
+  for (int i = 0; i < 8; ++i) {
+    PushPump("s", {Value::Ts(i), Value::I64(1 + i % 4)});
+  }
+  // Every window holds sk 1..4 once: 1 -> 7, 2 and 4 -> NULL, 3 -> 0.
+  const auto inc_out = Take(inc);
+  const auto full_out = Take(full);
+  ASSERT_EQ(inc_out.size(), 3u);
+  ASSERT_EQ(full_out.size(), 3u);
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(SortedRows({inc_out[e]}),
+              (std::vector<std::string>{"0|1|3|", "7|1|1|", "NULL|2|6|"}))
+        << "emission " << e;
+    EXPECT_EQ(SortedRows({inc_out[e]}), SortedRows({full_out[e]}))
+        << "emission " << e;
+  }
+}
+
 // f64 MIN/MAX order NaN above every number (PostgreSQL's rule) on every
 // path: one-time scalar and grouped queries over each row order of NaN,
 // 5, 3, and sliding windows over all those orders in a row, whose

@@ -479,14 +479,95 @@ TEST(GroupTableTest, GroupedAggregates) {
   EXPECT_EQ(cols[3]->F64Data()[0], 20.0);
 }
 
-TEST(GroupTableTest, NullKeyIsRefused) {
+// All NULL cells of a key column form one group, whose key cell is NULL;
+// a NULL's payload (0, "") never matches a real 0 or "". Once a table holds
+// a NULL group, batches without NULLs still probe null-aware, and Merge
+// keeps NULL groups apart from the rest, into an empty or a filled table.
+TEST(GroupTableTest, NullKeysFormOneGroup) {
+  const std::vector<std::pair<AggKind, TypeId>> layout{
+      {AggKind::kCount, TypeId::kI64}, {AggKind::kSum, TypeId::kI64}};
   auto key = Bat::MakeEmpty(TypeId::kI64);
   key->AppendI64(1);
   key->AppendNull();
-  ops::GroupTable t({TypeId::kI64}, {{AggKind::kCount, TypeId::kI64}});
-  const Status s = t.AddRows({key.get()}, {nullptr});
-  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
-  EXPECT_EQ(t.num_groups(), 0u);
+  key->AppendI64(0);
+  key->AppendNull();
+  key->AppendI64(1);
+  auto rowid = Bat::MakeI64({0, 1, 2, 3, 4});
+  ops::GroupTable t({TypeId::kI64}, layout);
+  ASSERT_TRUE(t.AddRows({key.get()}, {nullptr, rowid.get()}).ok());
+  auto more = Bat::MakeI64({0, 1});
+  auto more_id = Bat::MakeI64({10, 20});
+  ASSERT_TRUE(t.AddRows({more.get()}, {nullptr, more_id.get()}).ok());
+  auto check = [](const ops::GroupTable& g) {
+    auto cols = g.Finalize();
+    ASSERT_TRUE(cols.ok());
+    const std::vector<BatPtr>& c = *cols;
+    ASSERT_EQ(c[0]->size(), 3u);  // groups 1, NULL, 0
+    EXPECT_FALSE(c[0]->IsNull(0));
+    EXPECT_TRUE(c[0]->IsNull(1));
+    EXPECT_FALSE(c[0]->IsNull(2));
+    EXPECT_EQ(c[0]->I64Data()[0], 1);
+    EXPECT_EQ(c[0]->I64Data()[2], 0);
+    EXPECT_EQ(c[1]->I64Data()[0], 3);
+    EXPECT_EQ(c[1]->I64Data()[1], 2);
+    EXPECT_EQ(c[1]->I64Data()[2], 2);
+    EXPECT_EQ(c[2]->I64Data()[0], 0 + 4 + 20);
+    EXPECT_EQ(c[2]->I64Data()[1], 1 + 3);
+    EXPECT_EQ(c[2]->I64Data()[2], 2 + 10);
+  };
+  check(t);
+
+  // The same rows as partials: [1, NULL], [0, NULL, 1] and [0, 1].
+  auto part = [&](const BatPtr& k, const BatPtr& v, uint64_t from,
+                  uint64_t to) {
+    ops::GroupTable p({TypeId::kI64}, layout);
+    auto ks = k->Slice(from, to);
+    auto vs = v->Slice(from, to);
+    EXPECT_TRUE(p.AddRows({ks.get()}, {nullptr, vs.get()}).ok());
+    return p;
+  };
+  ops::GroupTable merged({TypeId::kI64}, layout);
+  for (const ops::GroupTable& p :
+       {part(key, rowid, 0, 2), part(key, rowid, 2, 5),
+        part(more, more_id, 0, 2)}) {
+    ASSERT_TRUE(merged.Merge(p).ok());
+  }
+  check(merged);
+
+  // Several keys: (NULL, "") is neither ("", "") nor (NULL, "a").
+  auto k1 = Bat::MakeEmpty(TypeId::kStr);
+  auto k2 = Bat::MakeStr({"", "", "a", "", "a"});
+  k1->AppendNull();
+  k1->AppendStr("");
+  k1->AppendNull();
+  k1->AppendNull();
+  k1->AppendNull();
+  const auto cols = GroupWhole({TypeId::kStr, TypeId::kStr},
+                               {{AggKind::kCount, TypeId::kI64}},
+                               {k1.get(), k2.get()}, {nullptr});
+  ASSERT_EQ(cols[0]->size(), 3u);
+  EXPECT_TRUE(cols[0]->IsNull(0));
+  EXPECT_FALSE(cols[0]->IsNull(1));
+  EXPECT_TRUE(cols[0]->IsNull(2));
+  EXPECT_EQ(cols[2]->I64Data()[0], 2);
+  EXPECT_EQ(cols[2]->I64Data()[1], 1);
+  EXPECT_EQ(cols[2]->I64Data()[2], 2);
+
+  // f64: the NULLs share one group, each NaN keeps its own.
+  auto x = Bat::MakeEmpty(TypeId::kF64);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  x->AppendF64(nan);
+  x->AppendNull();
+  x->AppendF64(nan);
+  x->AppendNull();
+  x->AppendF64(0.0);
+  const auto fcols = GroupWhole({TypeId::kF64},
+                                {{AggKind::kCount, TypeId::kI64}},
+                                {x.get()}, {nullptr});
+  ASSERT_EQ(fcols[0]->size(), 4u);  // NaN, NULL, NaN, 0
+  EXPECT_TRUE(fcols[0]->IsNull(1));
+  EXPECT_EQ(fcols[1]->I64Data()[1], 2);
+  EXPECT_EQ(fcols[1]->I64Data()[3], 1);
 }
 
 // Each NaN key is its own group, yet every NaN hashes alike. Salting a
@@ -939,7 +1020,8 @@ TEST(SortTest, WithCandidates) {
 // map, since each NaN is its own group) and plain per-group accumulators
 // (MIN/MAX in PostgreSQL's order, with NaN above every number).
 // Keys are 1-3 columns over all five types with small domains (NaN, -0.0,
-// duplicate and empty strings); the rows are split at random into
+// duplicate and empty strings, and in some columns NULLs, which form one
+// group per key column like any other value); the rows are split at random into
 // contiguous, possibly empty partials, each grouped by its own table and
 // merged in order. Seeded like the other fuzzers: DC_FUZZ_SEED overrides
 // the base seed, DC_FUZZ_ROUNDS the round count.
@@ -954,8 +1036,14 @@ BatPtr OracleColumn(Rng& rng, TypeId t, uint64_t n, bool is_key) {
   static const double kArgF64[] = {0.0,  -0.0, 0.1, 1e16,
                                    -3.75, 2.5,  0.3, NAN};
   const int64_t i64_hi = rng.Bernoulli(0.5) ? 3 : 1000;  // few or many groups
+  // Some key columns hold NULLs, as a nullable table column does.
+  const double null_p = is_key && rng.Bernoulli(0.3) ? 0.2 : 0;
   BatPtr col = Bat::MakeEmpty(t);
   for (uint64_t i = 0; i < n; ++i) {
+    if (null_p > 0 && rng.Bernoulli(null_p)) {
+      col->AppendNull();
+      continue;
+    }
     switch (t) {
       case TypeId::kBool:
         col->AppendBool(rng.Bernoulli(0.5));
@@ -1023,6 +1111,10 @@ std::vector<std::string> ReferenceRows(const OracleCase& c,
     bool operator()(const std::vector<Value>& a,
                     const std::vector<Value>& b) const {
       for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].is_null() || b[i].is_null()) {  // NULL first, NULL == NULL
+          if (a[i].is_null() != b[i].is_null()) return a[i].is_null();
+          continue;
+        }
         const int cmp = a[i].Compare(b[i]);
         if (cmp != 0) return cmp < 0;
       }
@@ -1050,7 +1142,7 @@ std::vector<std::string> ReferenceRows(const OracleCase& c,
       bool nan = false;
       for (const BatPtr& k : c.keys) {
         key.push_back(k->GetValue(r));
-        nan = nan || (k->type() == TypeId::kF64 &&
+        nan = nan || (k->type() == TypeId::kF64 && !key.back().is_null() &&
                       std::isnan(key.back().AsF64()));
       }
       size_t g;

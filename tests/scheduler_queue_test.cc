@@ -1,17 +1,19 @@
-// Stress tests for the sharded, event-driven scheduler: targeted (arc)
-// enablement, shard affinity, work stealing, and RemoveFactory racing
-// entries that are queued or in flight on remote shards. CI runs this
-// suite under TSan with --repeat until-fail:3.
+// Stress tests for the event-driven scheduler's one ready queue: targeted
+// (arc) enablement, many factories on few workers, RemoveFactory racing
+// entries that are queued or in flight, and a lost-wakeup hunt. CI runs
+// this suite under TSan with --repeat until-fail:3.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "core/scheduler.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 #include "util/string_util.h"
 
 namespace dc {
@@ -19,7 +21,7 @@ namespace {
 
 // Wires N per-batch factories onto one (or two) baskets via explicit arcs,
 // the way Engine does: AttachArc first, then AddFactory.
-class SchedulerShardTest : public ::testing::Test {
+class SchedulerQueueTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Schema s;
@@ -81,13 +83,10 @@ class SchedulerShardTest : public ::testing::Test {
   std::unique_ptr<Basket> basket_t_;
 };
 
-TEST_F(SchedulerShardTest, TargetedPulseEnqueuesOnlySubscribedArcs) {
-  Scheduler::Options opts;
-  opts.num_workers = 0;  // manual mode; shards stay inspectable
-  opts.num_shards = 2;
-  Scheduler sched(opts);
-  auto f0 = MakeFactory(0);                          // home shard 0, reads s
-  auto f1 = MakeFactory(1, basket_t_.get(), "t");    // home shard 1, reads t
+TEST_F(SchedulerQueueTest, TargetedPulseEnqueuesOnlySubscribedArcs) {
+  Scheduler sched(0);  // manual mode; the queue stays inspectable
+  auto f0 = MakeFactory(0);                          // reads s
+  auto f1 = MakeFactory(1, basket_t_.get(), "t");    // reads t
   Wire(sched, f0);
   Wire(sched, f1);
 
@@ -96,28 +95,30 @@ TEST_F(SchedulerShardTest, TargetedPulseEnqueuesOnlySubscribedArcs) {
   EXPECT_EQ(f0->Stats().emissions, 1u);
   EXPECT_EQ(f1->Stats().emissions, 0u);
 
-  // f0 went idle after its fire; the next pulse on s re-enqueues it on its
-  // home shard. f1 sits queued from its registration kick, not ready.
+  // f0 went idle after its fire; the next pulse on s re-enqueues it. f1
+  // sits queued from its registration kick, not ready.
   Push(8);
   const SchedulerStats before = sched.Stats();
-  ASSERT_EQ(before.shards.size(), 2u);
-  EXPECT_EQ(before.shards[0].enqueues, 2u);  // registration kick + pulse
-  EXPECT_EQ(before.shards[1].enqueues, 1u);  // registration kick only
-  EXPECT_EQ(before.notifications, 2u);       // two appends = two pulses
+  EXPECT_EQ(before.enqueues, 3u);       // two registration kicks + f0's pulse
+  EXPECT_EQ(before.queue_depth, 2u);
+  EXPECT_EQ(before.notifications, 2u);  // two appends = two pulses
   EXPECT_EQ(sched.DrainReady(), 1);
 
   const SchedulerStats after = sched.Stats();
   EXPECT_EQ(after.fires, 2u);
-  EXPECT_EQ(after.shards[0].fires, 2u);
-  EXPECT_EQ(after.shards[1].fires, 0u);
-  EXPECT_EQ(after.shards[1].queue_depth, 1u);  // still queued, never enabled
+  EXPECT_EQ(f1->Stats().emissions, 0u);
+  EXPECT_EQ(after.queue_depth, 1u);  // f1 still queued, never enabled
+  EXPECT_EQ(after.max_queue_depth, 2u);
+
+  // A pulse on t enables f1 and leaves f0 alone.
+  ASSERT_TRUE(basket_t_->AppendRow({Value::I64(9)}).ok());
+  EXPECT_EQ(sched.DrainReady(), 1);
+  EXPECT_EQ(f0->Stats().emissions, 2u);
+  EXPECT_EQ(f1->Stats().emissions, 1u);
 }
 
-TEST_F(SchedulerShardTest, ManyFactoriesFewWorkersAllEventuallyFire) {
-  Scheduler::Options opts;
-  opts.num_workers = 2;
-  opts.num_shards = 8;  // most shards served via ownership striping
-  Scheduler sched(opts);
+TEST_F(SchedulerQueueTest, ManyFactoriesFewWorkersAllEventuallyFire) {
+  Scheduler sched(2);
   std::vector<FactoryPtr> factories;
   for (int id = 0; id < 24; ++id) {
     factories.push_back(MakeFactory(id));
@@ -136,96 +137,36 @@ TEST_F(SchedulerShardTest, ManyFactoriesFewWorkersAllEventuallyFire) {
   }
   const SchedulerStats stats = sched.Stats();
   EXPECT_GE(stats.fires, 24u);
-  uint64_t shard_fires = 0;
-  for (const auto& sh : stats.shards) shard_fires += sh.fires;
-  EXPECT_EQ(shard_fires, stats.fires);
+  EXPECT_LE(stats.max_queue_depth, 24u);  // each factory queued at most once
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-TEST_F(SchedulerShardTest, WorkStealingDrainsRemoteShards) {
-  Scheduler::Options opts;
-  opts.num_workers = 2;
-  opts.num_shards = 2;
-  opts.work_stealing = true;
-  Scheduler sched(opts);
-  // Even ids only: every factory homes on shard 0, so worker 1 (owner of
-  // the permanently empty shard 1) can make progress only by stealing.
-  std::vector<FactoryPtr> factories;
-  for (int i = 0; i < 16; ++i) {
-    factories.push_back(MakeFactory(2 * i));
-    Wire(sched, factories.back());
-  }
-  sched.Start();
-  // Push in waves until worker 1 demonstrably stole (bounded): each wave
-  // re-enqueues all 16 factories on shard 0, so a non-stealing worker 1
-  // would leave steals at 0 forever.
-  uint64_t rows = 0;
-  const Micros deadline = SteadyMicros() + 20 * kMicrosPerSecond;
-  do {
-    for (int i = 0; i < 20; ++i) Push(static_cast<int64_t>(rows + i));
-    rows += 20;
-    ASSERT_TRUE(WaitAllConsumed(factories, rows, 10 * kMicrosPerSecond));
-  } while (sched.Stats().steals == 0 && SteadyMicros() < deadline);
-  sched.Stop();
-  const SchedulerStats stats = sched.Stats();
-  EXPECT_GE(stats.steals, 1u);
-  // Steals are counted on the shard they drained.
-  EXPECT_EQ(stats.shards[0].steals, stats.steals);
-  EXPECT_EQ(stats.shards[1].enqueues, 0u);
-  for (const FactoryPtr& f : factories) {
-    EXPECT_EQ(f->Stats().tuples_out, rows) << f->name();
-  }
-}
-
-TEST_F(SchedulerShardTest, StealingDisabledOwnershipStillCoversAllShards) {
-  Scheduler::Options opts;
-  opts.num_workers = 2;
-  opts.num_shards = 4;  // worker 0 owns shards {0,2}, worker 1 owns {1,3}
-  opts.work_stealing = false;
-  Scheduler sched(opts);
-  std::vector<FactoryPtr> factories;
-  for (int id = 0; id < 8; ++id) {
-    factories.push_back(MakeFactory(id));
-    Wire(sched, factories.back());
-  }
-  sched.Start();
-  constexpr uint64_t kRows = 20;
-  for (uint64_t i = 0; i < kRows; ++i) Push(static_cast<int64_t>(i));
-  ASSERT_TRUE(WaitAllConsumed(factories, kRows, 10 * kMicrosPerSecond));
-  sched.Stop();
-  EXPECT_EQ(sched.Stats().steals, 0u);
-}
-
-TEST_F(SchedulerShardTest, RemoveFactoryWhileQueuedOnRemoteShard) {
-  Scheduler::Options opts;
-  opts.num_workers = 0;  // no workers: queued entries stay queued
-  opts.num_shards = 4;
-  Scheduler sched(opts);
+TEST_F(SchedulerQueueTest, RemoveFactoryWhileQueued) {
+  Scheduler sched(0);  // no workers: queued entries stay queued
   std::vector<FactoryPtr> factories;
   for (int id = 0; id < 8; ++id) {
     factories.push_back(MakeFactory(id));
     Wire(sched, factories.back());
   }
   Push(1);  // all 8 queued (registration kick), all enabled
-  // Factory 5 homes on shard 1 — remote from any popping context. Removal
-  // must unlink the queued entry without a worker ever claiming it.
+  // Removal must unlink the queued entry from the middle of the queue
+  // without a worker ever claiming it.
   sched.RemoveFactory(5);
   EXPECT_EQ(sched.Factories().size(), 7u);
+  EXPECT_EQ(sched.Stats().queue_depth, 7u);
   EXPECT_EQ(sched.DrainReady(), 7);
   EXPECT_EQ(factories[5]->Stats().invocations, 0u);
   const SchedulerStats stats = sched.Stats();
   EXPECT_EQ(stats.fires, 7u);
-  for (const auto& sh : stats.shards) EXPECT_EQ(sh.queue_depth, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-TEST_F(SchedulerShardTest, ConcurrentChurnWithArcsAndStealing) {
-  // Add/remove factories while workers fire and steal across shards and a
-  // feeder pulses the basket: no entry may be destroyed mid-fire, and
-  // RemoveFactory must reap entries queued on any shard. Race hunt for
-  // TSan + --repeat until-fail in CI.
-  Scheduler::Options opts;
-  opts.num_workers = 4;
-  opts.num_shards = 4;
-  Scheduler sched(opts);
+TEST_F(SchedulerQueueTest, ConcurrentChurnWithArcs) {
+  // Add/remove factories while workers fire and a feeder pulses the
+  // basket: no entry may be destroyed mid-fire, and RemoveFactory must
+  // reap entries wherever they sit in the queue. Race hunt for TSan +
+  // --repeat until-fail in CI.
+  Scheduler sched(4);
   sched.Start();
   std::atomic<bool> done{false};
   std::thread feeder([&] {
@@ -246,6 +187,53 @@ TEST_F(SchedulerShardTest, ConcurrentChurnWithArcsAndStealing) {
   feeder.join();
   sched.Stop();
   EXPECT_EQ(sched.Factories().size(), 0u);
+}
+
+// Lost-wakeup hunt. Idle workers sleep on one condvar with no fallback
+// tick, so a pulse whose wakeup is lost strands its factories forever:
+// each pulse waits for its fires under a 2 s deadline, and a miss fails
+// the test instead of slowing it down. Two factories read the basket, so
+// both workers fire on every pulse and head back to sleep together, and
+// the next pulse is sent as soon as both fired — while the workers are
+// still completing — or after a seeded jitter (DC_FUZZ_SEED), so pulses
+// land all along a worker's path from "fire done" to "asleep again".
+TEST_F(SchedulerQueueTest, EveryPulseFiresWithoutFallbackTick) {
+  uint64_t seed = 20261020;
+  if (const char* s = std::getenv("DC_FUZZ_SEED")) {
+    seed = std::strtoull(s, nullptr, 10);
+  }
+  Rng rng(seed);
+  Scheduler sched(2);
+  const std::vector<FactoryPtr> factories{MakeFactory(0), MakeFactory(1)};
+  for (const FactoryPtr& f : factories) Wire(sched, f);
+  sched.Start();
+  constexpr uint64_t kPulses = 2000;
+  for (uint64_t i = 0; i < kPulses; ++i) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+      case 1:
+        break;  // pulse at once
+      case 2:
+        std::this_thread::yield();
+        break;
+      default:
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng.UniformInt(1, 200)));
+        break;
+    }
+    Push(static_cast<int64_t>(i));
+    const Micros deadline = SteadyMicros() + 2 * kMicrosPerSecond;
+    for (const FactoryPtr& f : factories) {
+      while (f->Stats().tuples_out < i + 1 && SteadyMicros() < deadline) {
+        std::this_thread::yield();
+      }
+      ASSERT_EQ(f->Stats().tuples_out, i + 1)
+          << f->name() << ": pulse " << i
+          << " never fired; repro: DC_FUZZ_SEED=" << seed;
+    }
+  }
+  sched.Stop();
+  EXPECT_EQ(sched.Stats().fire_errors, 0u);
 }
 
 }  // namespace

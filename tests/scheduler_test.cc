@@ -80,15 +80,14 @@ TEST_F(SchedulerTest, RemoveFactoryStopsFiring) {
   EXPECT_EQ(sched.Factories().size(), 0u);
 }
 
-TEST_F(SchedulerTest, ThreadedWorkersFireOnNotify) {
-  Scheduler::Options opts;
-  opts.num_workers = 2;
-  Scheduler sched(opts);
+TEST_F(SchedulerTest, ThreadedWorkersFireOnArcPulses) {
+  Scheduler sched(2);
   auto f1 = MakeFactory(1);
   auto f2 = MakeFactory(2);
+  sched.AttachArc(basket_.get(), 1);
+  sched.AttachArc(basket_.get(), 2);
   sched.AddFactory(f1);
   sched.AddFactory(f2);
-  basket_->AddListener([&] { sched.Notify(); });
   sched.Start();
   for (int i = 0; i < 50; ++i) Push(i);
   const Micros deadline = SteadyMicros() + 5 * kMicrosPerSecond;
@@ -143,10 +142,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
   // A busy entry must never be destroyed mid-fire: workers fire factories
   // while another thread churns add/remove. TSan + repeat-until-fail in CI
   // make this a race hunt.
-  Scheduler::Options opts;
-  opts.num_workers = 4;
-  Scheduler sched(opts);
-  basket_->AddListener([&] { sched.Notify(); });
+  Scheduler sched(4);
   sched.Start();
   std::atomic<bool> done{false};
   std::thread feeder([&] {
@@ -158,6 +154,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
   });
   for (int round = 0; round < 50; ++round) {
     auto f = MakeFactory(100 + round);
+    sched.AttachArc(basket_.get(), 100 + round);
     sched.AddFactory(f);
     // Give workers a chance to claim and fire it, then rip it out.
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -176,9 +173,7 @@ TEST_F(SchedulerTest, ConcurrentAddRemoveUnderFire) {
 // relaunch workers that are still being joined.
 TEST_F(SchedulerTest, ConcurrentStopIsSingleJoin) {
   for (int round = 0; round < 20; ++round) {
-    Scheduler::Options opts;
-    opts.num_workers = 2;
-    Scheduler sched(opts);
+    Scheduler sched(2);
     auto f1 = MakeFactory(1);
     sched.AddFactory(f1);
     sched.Start();

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/overhead_gate.h"
 #include "core/engine.h"
 #include "monitor/trace.h"
 #include "storage/wal.h"
@@ -172,6 +173,45 @@ TEST(TraceTest, WalWriterEmitsAppendAndFsyncSpans) {
   EXPECT_NE(json.find("\"args\":{\"v\":17}"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"wal.fsync\""), std::string::npos);
   testutil::RemoveDirRecursive(dir);
+}
+
+// The tracing-overhead guard's verdict on synthetic timings: a ratio of
+// medians whose bound grows with the untraced runs' spread but is capped,
+// so 37 % overhead fails even on a noisy host, 1 % passes, and a slow
+// outlier on either side moves neither median.
+TEST(OverheadGateTest, RatioOfMediansFailsRealOverhead) {
+  auto scaled = [](const std::vector<Micros>& v, double f) {
+    std::vector<Micros> out;
+    for (Micros x : v) out.push_back(static_cast<Micros>(x * f));
+    return out;
+  };
+  // Off runs of 166-205 ms: a 4 % interquartile spread.
+  const std::vector<Micros> off{170000, 166000, 181000, 175000, 205000,
+                                172000, 178000, 169000, 174000};
+  const bench::OverheadVerdict one =
+      bench::JudgeOverhead(off, scaled(off, 1.01));
+  EXPECT_TRUE(one.pass) << one.ratio << " vs " << one.allowed;
+  EXPECT_NEAR(one.ratio, 1.01, 1e-3);
+  const bench::OverheadVerdict bad =
+      bench::JudgeOverhead(off, scaled(off, 1.37));
+  EXPECT_FALSE(bad.pass) << bad.ratio << " vs " << bad.allowed;
+  // No millisecond floor: 15 % overhead on a sub-second run fails.
+  EXPECT_FALSE(bench::JudgeOverhead(off, scaled(off, 1.15)).pass);
+
+  // A noisy host widens the bound, never past the cap.
+  const std::vector<Micros> noisy{100000, 160000, 90000, 150000, 120000,
+                                  95000, 140000, 110000, 130000};
+  const bench::OverheadVerdict wide =
+      bench::JudgeOverhead(noisy, scaled(noisy, 1.37));
+  EXPECT_EQ(wide.allowed, bench::kMaxRatio);
+  EXPECT_FALSE(wide.pass);
+  EXPECT_TRUE(bench::JudgeOverhead(noisy, scaled(noisy, 1.01)).pass);
+
+  // One stalled traced run does not fail the gate; no runs never pass.
+  std::vector<Micros> on = scaled(off, 1.01);
+  on[3] = 900000;
+  EXPECT_TRUE(bench::JudgeOverhead(off, on).pass);
+  EXPECT_FALSE(bench::JudgeOverhead({}, {}).pass);
 }
 
 }  // namespace
