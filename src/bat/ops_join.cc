@@ -1,6 +1,7 @@
 #include "bat/ops_join.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <type_traits>
 
@@ -11,36 +12,54 @@ namespace dc::ops {
 
 namespace {
 
-// Key readers: row r of a column as a key of the join domain.
+// Key readers: row r of a column as a key of the join domain. `null(r)`
+// is true for a NULL cell; over a column without NULLs it is a constant
+// false, so those loops test nothing per row.
 struct I64Reader {
   const int64_t* d;
   int64_t operator()(Oid r) const { return d[r]; }
+  static constexpr bool null(Oid) { return false; }
 };
 struct F64Reader {
   const double* d;
   double operator()(Oid r) const { return d[r]; }
+  static constexpr bool null(Oid) { return false; }
 };
 struct PromotedReader {  // an i64 column in the f64 domain
   const int64_t* d;
   double operator()(Oid r) const { return static_cast<double>(d[r]); }
+  static constexpr bool null(Oid) { return false; }
 };
 struct StrReader {
   const Bat* b;
   std::string_view operator()(Oid r) const { return b->StrAt(r); }
+  static constexpr bool null(Oid) { return false; }
+};
+template <typename Reader>
+struct NullableReader : Reader {  // a column with a null bitmap
+  std::span<const uint8_t> nulls;
+  bool null(Oid r) const { return r < nulls.size() && nulls[r] != 0; }
 };
 
 /// Calls `fn(reader)` with the reader of `col` in `domain` (the caller has
 /// checked that the column type belongs to the domain).
 template <typename Fn>
 void WithReader(TypeId domain, const Bat& col, Fn&& fn) {
+  auto with = [&](auto read) {
+    if (col.has_nulls()) {
+      fn(NullableReader<decltype(read)>{{read}, col.NullFlags()});
+    } else {
+      fn(read);
+    }
+  };
   if (domain == TypeId::kStr) {
-    fn(StrReader{&col});
+    with(StrReader{&col});
   } else if (domain == TypeId::kI64) {
-    fn(I64Reader{col.I64Data().data()});
+    with(I64Reader{col.I64Data().data()});
   } else if (StoredAsI64(col.type())) {
-    fn(PromotedReader{col.I64Data().data()});
+    with(PromotedReader{col.I64Data().data()});
   } else {
-    fn(F64Reader{col.F64Data().data()});
+    with(F64Reader{col.F64Data().data()});
   }
 }
 
@@ -110,10 +129,11 @@ template <typename Reader>
 void JoinHash::AppendTyped(const Reader& read, const Candidates& rows) {
   using T = std::invoke_result_t<Reader, Oid>;
   rows.ForEach([&](Oid r) {
-    const T x = read(r);
     const auto pos = static_cast<uint32_t>(links_.size());
     links_.push_back(kNone);
-    if (IsNaN(x)) return;  // matches nothing: chained nowhere
+    if (read.null(r)) return;  // matches nothing: chained nowhere
+    const T x = read(r);
+    if (IsNaN(x)) return;  // likewise
     const uint64_t h = KeyHash(x);
     size_t slot;
     const uint32_t k = map_.Find(
@@ -196,6 +216,7 @@ void JoinHash::ProbeTyped(const Reader& read, const Candidates& rows,
   using T = std::invoke_result_t<Reader, Oid>;
   const auto live_from = static_cast<uint32_t>(live_from_);
   rows.ForEach([&](Oid r) {
+    if (read.null(r)) return;
     const T x = read(r);
     if (IsNaN(x)) return;
     const uint64_t h = KeyHash(x);

@@ -46,7 +46,8 @@ Result<TypeId> JoinKeyDomain(TypeId l, TypeId r);
 /// reclaims it, dropping the keys left without a live position.
 ///
 /// Key equality is the domain's: in kF64, i64 keys are promoted to double,
-/// -0.0 equals 0.0 and NaN matches nothing (NaN keys are never chained).
+/// -0.0 equals 0.0, and NaN and NULL match nothing (such keys are never
+/// chained).
 /// String keys are copied into the table, so the source column may change
 /// after Append.
 class JoinHash {

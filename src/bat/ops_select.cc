@@ -25,10 +25,31 @@ Candidates ScanWith(uint64_t col_size, const Candidates* cand, Pred&& pred) {
   return Candidates::FromVector(std::move(out));
 }
 
+// ScanWith over the rows of `a` (and `b`, when given) where no operand is
+// NULL: SQL comparisons with NULL are never true. Columns without NULLs
+// keep the plain loop.
+template <typename Pred>
+Candidates ScanNonNull(const Bat& a, const Bat* b, const Candidates* cand,
+                       Pred&& pred) {
+  if (!a.has_nulls() && (b == nullptr || !b->has_nulls())) {
+    return ScanWith(a.size(), cand, pred);
+  }
+  const std::span<const uint8_t> na = a.NullFlags();
+  const std::span<const uint8_t> nb =
+      b != nullptr ? b->NullFlags() : std::span<const uint8_t>{};
+  auto null_at = [](std::span<const uint8_t> flags, Oid o) {
+    return o < flags.size() && flags[o] != 0;
+  };
+  return ScanWith(a.size(), cand, [&](Oid o) {
+    return !null_at(na, o) && !null_at(nb, o) && pred(o);
+  });
+}
+
 template <typename T, typename Cmp>
-Candidates ScanTyped(std::span<const T> data, const Candidates* cand,
-                     Cmp&& cmp) {
-  return ScanWith(data.size(), cand, [&](Oid o) { return cmp(data[o]); });
+Candidates ScanTyped(const Bat& col, std::span<const T> data,
+                     const Candidates* cand, Cmp&& cmp) {
+  return ScanNonNull(col, nullptr, cand,
+                     [&](Oid o) { return cmp(data[o]); });
 }
 
 }  // namespace
@@ -40,7 +61,7 @@ Result<Candidates> SelectCmp(const Bat& col, CmpOp op, const Value& literal,
     case TypeId::kTs: {
       if (literal.type() == TypeId::kF64) {
         const double v = literal.AsF64();
-        return ScanTyped<int64_t>(col.I64Data(), cand, [&](int64_t x) {
+        return ScanTyped<int64_t>(col, col.I64Data(), cand, [&](int64_t x) {
           const double dx = static_cast<double>(x);
           return CmpHolds(op, dx < v ? -1 : (dx == v ? 0 : 1));
         });
@@ -49,22 +70,22 @@ Result<Candidates> SelectCmp(const Bat& col, CmpOp op, const Value& literal,
       const int64_t v = lit.AsI64();
       switch (op) {
         case CmpOp::kEq:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x == v; });
         case CmpOp::kNe:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x != v; });
         case CmpOp::kLt:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x < v; });
         case CmpOp::kLe:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x <= v; });
         case CmpOp::kGt:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x > v; });
         case CmpOp::kGe:
-          return ScanTyped<int64_t>(col.I64Data(), cand,
+          return ScanTyped<int64_t>(col, col.I64Data(), cand,
                                     [&](int64_t x) { return x >= v; });
       }
       break;
@@ -74,7 +95,7 @@ Result<Candidates> SelectCmp(const Bat& col, CmpOp op, const Value& literal,
         return Status::TypeError("f64 select needs a numeric literal");
       }
       const double v = literal.NumericAsDouble();
-      return ScanTyped<double>(col.F64Data(), cand, [&](double x) {
+      return ScanTyped<double>(col, col.F64Data(), cand, [&](double x) {
         return CmpHolds(op, x < v ? -1 : (x == v ? 0 : 1));
       });
     }
@@ -83,7 +104,7 @@ Result<Candidates> SelectCmp(const Bat& col, CmpOp op, const Value& literal,
         return Status::TypeError("str select needs a string literal");
       }
       const std::string& v = literal.AsStr();
-      return ScanWith(col.size(), cand, [&](Oid o) {
+      return ScanNonNull(col, nullptr, cand, [&](Oid o) {
         const std::string_view x = col.StrAt(o);
         const int c = x < v ? -1 : (x == v ? 0 : 1);
         return CmpHolds(op, c);
@@ -95,7 +116,7 @@ Result<Candidates> SelectCmp(const Bat& col, CmpOp op, const Value& literal,
       }
       const uint8_t v = literal.AsBool() ? 1 : 0;
       auto data = col.BoolData();
-      return ScanWith(col.size(), cand, [&](Oid o) {
+      return ScanNonNull(col, nullptr, cand, [&](Oid o) {
         return CmpHolds(op, static_cast<int>(data[o]) - static_cast<int>(v));
       });
     }
@@ -113,7 +134,7 @@ Result<Candidates> SelectRange(const Bat& col, const Value& lo, bool lo_incl,
       DC_ASSIGN_OR_RETURN(Value hiv, hi.CastTo(TypeId::kI64));
       const int64_t l = lov.AsI64();
       const int64_t h = hiv.AsI64();
-      return ScanTyped<int64_t>(col.I64Data(), cand, [&](int64_t x) {
+      return ScanTyped<int64_t>(col, col.I64Data(), cand, [&](int64_t x) {
         return (lo_incl ? x >= l : x > l) && (hi_incl ? x <= h : x < h);
       });
     }
@@ -123,7 +144,7 @@ Result<Candidates> SelectRange(const Bat& col, const Value& lo, bool lo_incl,
       }
       const double l = lo.NumericAsDouble();
       const double h = hi.NumericAsDouble();
-      return ScanTyped<double>(col.F64Data(), cand, [&](double x) {
+      return ScanTyped<double>(col, col.F64Data(), cand, [&](double x) {
         return (lo_incl ? x >= l : x > l) && (hi_incl ? x <= h : x < h);
       });
     }
@@ -133,7 +154,7 @@ Result<Candidates> SelectRange(const Bat& col, const Value& lo, bool lo_incl,
       }
       const std::string& l = lo.AsStr();
       const std::string& h = hi.AsStr();
-      return ScanWith(col.size(), cand, [&](Oid o) {
+      return ScanNonNull(col, nullptr, cand, [&](Oid o) {
         const std::string_view x = col.StrAt(o);
         return (lo_incl ? x >= l : x > l) && (hi_incl ? x <= h : x < h);
       });
@@ -157,7 +178,7 @@ Result<Candidates> SelectCmpCol(const Bat& a, CmpOp op, const Bat& b,
   if (a_i && b_i) {
     auto da = a.I64Data();
     auto db = b.I64Data();
-    return ScanWith(a.size(), cand, [&](Oid o) {
+    return ScanNonNull(a, &b, cand, [&](Oid o) {
       return CmpHolds(op, da[o] < db[o] ? -1 : (da[o] == db[o] ? 0 : 1));
     });
   }
@@ -167,14 +188,14 @@ Result<Candidates> SelectCmpCol(const Bat& a, CmpOp op, const Bat& b,
                  ? static_cast<double>(col.I64Data()[o])
                  : col.F64Data()[o];
     };
-    return ScanWith(a.size(), cand, [&](Oid o) {
+    return ScanNonNull(a, &b, cand, [&](Oid o) {
       const double x = get(a, o);
       const double y = get(b, o);
       return CmpHolds(op, x < y ? -1 : (x == y ? 0 : 1));
     });
   }
   if (a.type() == TypeId::kStr && b.type() == TypeId::kStr) {
-    return ScanWith(a.size(), cand, [&](Oid o) {
+    return ScanNonNull(a, &b, cand, [&](Oid o) {
       const std::string_view x = a.StrAt(o);
       const std::string_view y = b.StrAt(o);
       return CmpHolds(op, x < y ? -1 : (x == y ? 0 : 1));

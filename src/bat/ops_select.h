@@ -2,7 +2,8 @@
 //
 // Bulk selection operators: the entry point of late tuple reconstruction.
 // A select scans one column (optionally restricted by an input candidate
-// list) and produces the sorted candidate list of qualifying rows.
+// list) and produces the sorted candidate list of qualifying rows. A
+// comparison with a NULL cell never holds, so no comparison selects one.
 
 #ifndef DATACELL_BAT_OPS_SELECT_H_
 #define DATACELL_BAT_OPS_SELECT_H_

@@ -10,8 +10,14 @@ namespace {
 // Three-way comparison across two columns of the same type (rows of
 // different sorted runs). SortOrder and MergeSortedRuns must order cells
 // identically — the FULL == INCREMENTAL stable-merge invariant depends on
-// it — so this is the single comparison routine for both.
+// it — so this is the single comparison routine for both. NULL is the
+// smallest value (MonetDB's nil order): first ascending, last descending.
 int CompareCell2(const Bat& ca, Oid a, const Bat& cb, Oid b) {
+  if (ca.has_nulls() || cb.has_nulls()) {
+    const bool na = ca.IsNull(a);
+    const bool nb = cb.IsNull(b);
+    if (na || nb) return static_cast<int>(nb) - static_cast<int>(na);
+  }
   switch (ca.type()) {
     case TypeId::kBool: {
       const int x = ca.BoolData()[a];

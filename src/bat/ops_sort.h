@@ -21,7 +21,8 @@ struct SortKey {
 };
 
 /// Returns the candidate oids permuted into sort order (stable; ties keep
-/// input order). `cand == nullptr` sorts the full column domain.
+/// input order). NULL sorts as the smallest value: first ascending, last
+/// descending. `cand == nullptr` sorts the full column domain.
 Result<std::vector<Oid>> SortOrder(const std::vector<SortKey>& keys,
                                    const Candidates* cand = nullptr);
 

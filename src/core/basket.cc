@@ -26,19 +26,6 @@ Basket::Basket(std::string name, Schema schema, size_t ts_col,
   }
 }
 
-void Basket::SetLimits(BasketLimits limits) {
-  {
-    MutexLock lock(mu_);
-    limits_ = limits;
-  }
-  space_cv_.NotifyAll();
-}
-
-BasketLimits Basket::limits() const {
-  MutexLock lock(mu_);
-  return limits_;
-}
-
 Status Basket::ValidateBatch(const std::vector<BatPtr>& cols,
                              uint64_t* n) const {
   if (cols.size() != cols_.size()) {
@@ -92,11 +79,7 @@ size_t Basket::MemoryBytesLocked() const {
 }
 
 bool Basket::AtCapacityLocked() const {
-  if (limits_.max_rows > 0 && high_ - base_ >= limits_.max_rows) return true;
-  if (limits_.max_bytes > 0 && MemoryBytesLocked() >= limits_.max_bytes) {
-    return true;
-  }
-  return false;
+  return limits_.max_rows > 0 && high_ - base_ >= limits_.max_rows;
 }
 
 Status Basket::WaitForSpaceLocked(uint64_t n, Micros timeout_micros) {
@@ -144,11 +127,10 @@ Status Basket::WaitForSpaceLocked(uint64_t n, Micros timeout_micros) {
   if (admitted) return Status::OK();
   ++append_timeouts_;
   return Status::ResourceExhausted(
-      StrFormat("basket %s full (%llu resident rows, cap %llu rows/%zu B)",
+      StrFormat("basket %s full (%llu resident rows, cap %llu rows)",
                 name_.c_str(),
                 static_cast<unsigned long long>(high_ - base_),
-                static_cast<unsigned long long>(limits_.max_rows),
-                limits_.max_bytes));
+                static_cast<unsigned long long>(limits_.max_rows)));
 }
 
 Status Basket::Append(const std::vector<BatPtr>& cols, Micros timeout_micros,
@@ -523,7 +505,6 @@ BasketStats Basket::Stats() const {
   s.memory_bytes = MemoryBytesLocked();
   s.event_watermark = watermark_ == INT64_MIN ? 0 : watermark_;
   s.capacity_rows = limits_.max_rows;
-  s.capacity_bytes = limits_.max_bytes;
   s.resident_hwm_rows = resident_hwm_rows_;
   s.memory_hwm_bytes = memory_hwm_bytes_;
   s.append_stalls = append_stalls_;

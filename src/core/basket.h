@@ -8,7 +8,7 @@
 // Responsibilities:
 //  * columnar append (receptor side), with monotone per-tuple sequence
 //    numbers surviving physical shrinks,
-//  * capacity discipline: an optional row/byte bound (BasketLimits) turns
+//  * capacity discipline: an optional row bound (BasketLimits) turns
 //    Append into a blocking-with-timeout call, so producers experience
 //    backpressure instead of growing the basket without bound,
 //  * multi-reader consumption cursors: a tuple is dropped only after every
@@ -23,9 +23,10 @@
 // Trimming the consumed prefix is amortized O(dropped rows): Bat::DropHead
 // only advances each column's head offset, and a column compacts once its
 // dead prefix outgrows its live rows. Until then the dead prefix still
-// counts toward memory_bytes and the byte bound, so backpressure keeps
-// bounding memory. An engine hands each basket its `basket.trim_us`
-// histogram, which gets one sample per trim that drops rows.
+// counts toward memory_bytes, but a column never holds more dead rows
+// than live ones, so the row bound keeps bounding memory. An engine hands
+// each basket its `basket.trim_us` histogram, which gets one sample per
+// trim that drops rows.
 //
 // Capacity semantics: a batch is admitted whenever the basket is below its
 // bound, so occupancy may overshoot by at most one in-flight batch (this
@@ -59,13 +60,12 @@
 
 namespace dc {
 
-/// Capacity bound of one basket. Zero means unbounded in that dimension
-/// (the pre-backpressure behavior).
+/// Capacity bound of one basket. Zero means unbounded (the
+/// pre-backpressure behavior).
 struct BasketLimits {
   uint64_t max_rows = 0;  // resident-row bound
-  size_t max_bytes = 0;   // resident-memory bound
 
-  bool bounded() const { return max_rows > 0 || max_bytes > 0; }
+  bool bounded() const { return max_rows > 0; }
 };
 
 /// Statistics snapshot of one basket (monitor pane / Fig. 4).
@@ -79,7 +79,6 @@ struct BasketStats {
   Micros event_watermark = 0;
   // Capacity / backpressure figures:
   uint64_t capacity_rows = 0;       // 0 = unbounded
-  size_t capacity_bytes = 0;        // 0 = unbounded
   uint64_t resident_hwm_rows = 0;   // occupancy high watermark
   size_t memory_hwm_bytes = 0;
   // Append attempts that had to wait for space / wait slices that expired
@@ -134,11 +133,6 @@ class Basket {
   const Schema& schema() const { return schema_; }
   size_t ts_col() const { return ts_col_; }
   bool HasEventTime() const { return ts_col_ != SIZE_MAX; }
-
-  /// Replaces the capacity bound; wakes producers blocked on space (a
-  /// raised/removed bound may admit them immediately).
-  void SetLimits(BasketLimits limits);
-  BasketLimits limits() const;
 
   // --- Producer side ---------------------------------------------------------
 
@@ -318,10 +312,10 @@ class Basket {
   const Schema schema_;
   const size_t ts_col_;
   const std::shared_ptr<monitor::HistogramMetric> trim_us_;
+  const BasketLimits limits_;
 
   mutable Mutex mu_{LockRank::kBasket};
   CondVar space_cv_;  // pulsed when readers free space
-  BasketLimits limits_ DC_GUARDED_BY(mu_);
   // Resident rows, seq [base_, high_). The column pointers are fixed at
   // construction but the Bats they point at mutate under mu_.
   std::vector<BatPtr> cols_ DC_GUARDED_BY(mu_);

@@ -81,7 +81,7 @@ class Emitter {
   Mutex wake_mu_{LockRank::kEmitterWake};
   CondVar wake_cv_;
   bool wake_ DC_GUARDED_BY(wake_mu_) = false;
-  std::atomic<bool> stop_{false};
+  bool stop_ DC_GUARDED_BY(wake_mu_) = false;
 };
 
 /// Convenience sink buffering emissions for polling (tests, benches).

@@ -55,10 +55,12 @@ struct EngineOptions {
   /// reads, or any full stream in synchronous mode (only the pushing
   /// thread could Pump()). The
   /// default is generous (tuples are consumed long before it bites);
-  /// {0, 0} restores unbounded pre-backpressure behavior.
+  /// {0} restores unbounded pre-backpressure behavior. The bound counts
+  /// rows only: a basket's bytes are its rows' bytes plus a dead prefix
+  /// at most as large as the live rows (see basket.h).
   /// Query output baskets stay unbounded: they are drained by emitters,
   /// and blocking a factory mid-fire would stall the scheduler.
-  BasketLimits basket_limits{/*max_rows=*/1 << 20, /*max_bytes=*/0};
+  BasketLimits basket_limits{/*max_rows=*/1 << 20};
 
   /// Multi-query sharing (docs/SHARING.md): queries with matching
   /// compiled identities alias one factory, and compatible windowed

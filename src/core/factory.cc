@@ -208,7 +208,6 @@ FactoryStats Factory::Stats() const {
     const exec::DeltaSideState& ds = delta_side_[side];
     const exec::DeltaGroupTrack& gt = delta_groups_[side];
     s.retained_rows += ds.live_rows() + gt.live_groups();
-    s.retained_dead_rows += ds.dead + gt.dead;
     s.index_entries += ds.index.live_entries() + gt.index.live_entries();
     bytes += ds.MemoryBytes() + gt.MemoryBytes();
   }
@@ -392,10 +391,8 @@ Status Factory::Fire() {
   trace::Span span("factory.fire", "factory", id_);
   Stopwatch watch;
   Status st = FireLocked();
-  const Micros elapsed = watch.ElapsedMicros();
   stats_.invocations++;
-  stats_.total_exec_micros += elapsed;
-  stats_.last_exec_micros = elapsed;
+  stats_.total_exec_micros += watch.ElapsedMicros();
   if (!st.ok()) {
     failed_ = true;
     last_error_ = st.ToString();
@@ -501,7 +498,7 @@ Status Factory::FireDualWindow() {
   const WindowMath wr(*inputs_[r].window);
   const int64_t m = *next_emission_;
 
-  if (!incremental_active_ || !executor_->HasDeltaPostjoin()) {
+  if (!incremental_active_) {
     std::vector<exec::StageInput> raw(inputs_.size());
     const auto [llo, lhi] = wl.RangeExtent(m);
     const auto [rlo, rhi] = wr.RangeExtent(m);
@@ -544,26 +541,16 @@ Status Factory::FireDeltaRows(int64_t m, int64_t lfirst, int64_t rfirst,
   // window on the seed fire (the indexes are empty then, so every pair
   // comes out of the new x new hash join).
   std::vector<exec::StageInput> compact(inputs_.size());
-  const int64_t nbw[2] = {nl, nr};
   uint64_t old_rows[2] = {0, 0};
   for (int s = 0; s < 2; ++s) {
     exec::DeltaSideState& ds = delta_side_[s];
     if (!delta_seeded_) ds.Reset(cq.join_key_domain, cq.join_key_slots[s]);
-    if (nbw[s] == 1) {
-      // Window == slide on this side: nothing is ever retained across
-      // fires, so the whole window is the new basic window (aliased, not
-      // copied) and the index stays empty.
+    ds.EvictBefore(firsts[s]);
+    old_rows[s] = ds.rows;
+    for (int64_t j = delta_seeded_ ? m - 1 : firsts[s]; j < m; ++j) {
       DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                          PrejoinBasicWindow(stream_rels_[s], m - 1));
-      ds.AdoptSingleWindow(m - 1, pre);
-    } else {
-      ds.EvictBefore(firsts[s]);
-      old_rows[s] = ds.rows;
-      for (int64_t j = delta_seeded_ ? m - 1 : firsts[s]; j < m; ++j) {
-        DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                            PrejoinBasicWindow(stream_rels_[s], j));
-        DC_RETURN_NOT_OK(ds.AppendBasicWindow(j, pre));
-      }
+                          PrejoinBasicWindow(stream_rels_[s], j));
+      DC_RETURN_NOT_OK(ds.AppendBasicWindow(j, pre));
     }
     compact[stream_rels_[s]] =
         exec::StageInput{ds.cols, ds.rows, old_rows[s], &ds.index};
@@ -576,7 +563,6 @@ Status Factory::FireDeltaRows(int64_t m, int64_t lfirst, int64_t rfirst,
   // Index the new rows only after the probe: the retained index must
   // never cover the emission that probes it.
   for (int s = 0; s < 2; ++s) {
-    if (nbw[s] == 1) continue;  // never probed — keep the index empty
     DC_RETURN_NOT_OK(delta_side_[s].IndexNewRows(old_rows[s]));
   }
 
@@ -586,36 +572,26 @@ Status Factory::FireDeltaRows(int64_t m, int64_t lfirst, int64_t rfirst,
   // indexed by expiry - (m + 1). Partials are keyed {expiry, created}, so
   // expiry evicts whole buckets — no retained row is ever rescanned.
   const size_t nbuckets = static_cast<size_t>(std::min(nl, nr));
-  if (nbuckets == 1) {
-    // Every pair expires at the next emission (one side's window is a
-    // single basic window) — the whole fragment is one bucket, no gather.
-    if (df.frag.rows > 0) {
-      DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(df.frag));
-      partials_.insert_or_assign(PartialKey{m + 1, m}, std::move(p));
+  if (expiry_rows_.size() < nbuckets) expiry_rows_.resize(nbuckets);
+  for (uint64_t i = 0; i < df.frag.rows; ++i) {
+    const int64_t idx = std::min(df.left_bw[i] + nl, df.right_bw[i] + nr) - m;
+    if (idx < 0 || static_cast<size_t>(idx) >= nbuckets) {
+      return Status::Internal("delta join: pair expiry out of range");
     }
-  } else {
-    if (expiry_rows_.size() < nbuckets) expiry_rows_.resize(nbuckets);
-    for (uint64_t i = 0; i < df.frag.rows; ++i) {
-      const int64_t idx =
-          std::min(df.left_bw[i] + nl, df.right_bw[i] + nr) - m;
-      if (idx < 0 || static_cast<size_t>(idx) >= nbuckets) {
-        return Status::Internal("delta join: pair expiry out of range");
-      }
-      expiry_rows_[idx].push_back(static_cast<Oid>(i));
+    expiry_rows_[idx].push_back(static_cast<Oid>(i));
+  }
+  for (size_t idx = 0; idx < nbuckets; ++idx) {
+    std::vector<Oid>& rows = expiry_rows_[idx];
+    if (rows.empty()) continue;
+    exec::StageOutput bucket;
+    bucket.rows = rows.size();
+    for (const BatPtr& col : df.frag.cols) {
+      bucket.cols.push_back(ops::FetchOids(*col, rows));
     }
-    for (size_t idx = 0; idx < nbuckets; ++idx) {
-      std::vector<Oid>& rows = expiry_rows_[idx];
-      if (rows.empty()) continue;
-      exec::StageOutput bucket;
-      bucket.rows = rows.size();
-      for (const BatPtr& col : df.frag.cols) {
-        bucket.cols.push_back(ops::FetchOids(*col, rows));
-      }
-      rows.clear();  // keep capacity for the next fire
-      DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(bucket));
-      partials_.insert_or_assign(
-          PartialKey{m + 1 + static_cast<int64_t>(idx), m}, std::move(p));
-    }
+    rows.clear();  // keep capacity for the next fire
+    DC_ASSIGN_OR_RETURN(exec::Partial p, executor_->MakePartial(bucket));
+    partials_.insert_or_assign(
+        PartialKey{m + 1 + static_cast<int64_t>(idx), m}, std::move(p));
   }
 
   for (int s = 0; s < 2; ++s) delta_side_[s].TrimIfWorthIt();
@@ -689,93 +665,49 @@ Status Factory::FireDeltaPreAgg(int64_t m, int64_t lfirst, int64_t rfirst,
     for (auto* v : {&lrows, &rrows, &both}) v->clear();
   };
 
+  // Probes the opposite side's track with side `s`'s new groups `g` of
+  // basic window j and folds the pairings.
+  auto probe_new = [&](int s, int64_t j, const ops::GroupTable& g) -> Status {
+    if (g.num_groups() == 0) return Status::OK();
+    const exec::DeltaGroupTrack& t = delta_groups_[1 - s];
+    std::vector<Oid> probe_out, pos_out;
+    DC_RETURN_NOT_OK(
+        t.index.Probe(g.key(0), 0, g.num_groups(), &probe_out, &pos_out));
+    for (size_t k = 0; k < probe_out.size(); ++k) {
+      const uint64_t n = probe_out[k], p = pos_out[k];
+      DC_RETURN_NOT_OK(s == 0 ? pair_up(j, t.bw_of[p], n, p, g.counts()[n],
+                                        t.counts[p])
+                              : pair_up(t.bw_of[p], j, p, n, t.counts[p],
+                                        g.counts()[n]));
+    }
+    if (s == 0) {
+      fold_pairs(g.states(), t.states);
+    } else {
+      fold_pairs(t.states, g.states());
+    }
+    return Status::OK();
+  };
+
   // Steady state runs one step (new basic window m-1 on both sides); the
   // seed fire replays the initial window basic window by basic window, so
   // every cross-bw pairing goes through the same retained x new probes.
+  // Within a step the left new groups are appended to their track before
+  // the right new groups probe it, so that one probe covers retained x new
+  // and new x new at once — no separate new x new join. A side whose
+  // window is one basic window needs no case of its own: its groups leave
+  // the track at the next fire's EvictBefore.
+  const int64_t firsts[2] = {lfirst, rfirst};
   for (int64_t j = delta_seeded_ ? m - 1 : std::min(lfirst, rfirst); j < m;
        ++j) {
-    const bool has_l = j >= lfirst;
-    const bool has_r = j >= rfirst;
-    ops::GroupTable& gl = delta_new_[0];
-    ops::GroupTable& gr = delta_new_[1];
-    if (has_l) {
+    for (int s = 0; s < 2; ++s) {
+      if (j < firsts[s]) continue;
+      ops::GroupTable& g = delta_new_[s];
       DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                          PrejoinBasicWindow(stream_rels_[0], j));
-      DC_RETURN_NOT_OK(executor_->BuildDeltaGroups(0, pre, &gl));
+                          PrejoinBasicWindow(stream_rels_[s], j));
+      DC_RETURN_NOT_OK(executor_->BuildDeltaGroups(s, pre, &g));
       stats_.fragments_computed++;
-    }
-    if (has_r) {
-      DC_ASSIGN_OR_RETURN(exec::StageOutput pre,
-                          PrejoinBasicWindow(stream_rels_[1], j));
-      DC_RETURN_NOT_OK(executor_->BuildDeltaGroups(1, pre, &gr));
-      stats_.fragments_computed++;
-    }
-    // Pairing order folds new x new into the second probe: one side's new
-    // groups are appended to its track before the opposite side probes it,
-    // so a single probe covers retained x new and new x new at once — no
-    // separate new x new join. A single-basic-window side never appends
-    // (nothing of it outlives its own emission; the opposite window then
-    // holds no old groups of this side either), so the append-first side
-    // is chosen accordingly; when both sides are tumbling the tracks stay
-    // empty and the step pairs new x new directly.
-    auto probe_left_new = [&]() -> Status {  // gl vs track 1
-      if (!has_l || gl.num_groups() == 0) return Status::OK();
-      std::vector<Oid> probe_out, pos_out;
-      DC_RETURN_NOT_OK(delta_groups_[1].index.Probe(
-          gl.key(0), 0, gl.num_groups(), &probe_out, &pos_out));
-      const exec::DeltaGroupTrack& t = delta_groups_[1];
-      for (size_t k = 0; k < probe_out.size(); ++k) {
-        const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(pair_up(j, t.bw_of[p], g, p, gl.counts()[g],
-                                 t.counts[p]));
-      }
-      fold_pairs(gl.states(), t.states);
-      return Status::OK();
-    };
-    auto probe_right_new = [&]() -> Status {  // gr vs track 0
-      if (!has_r || gr.num_groups() == 0) return Status::OK();
-      std::vector<Oid> probe_out, pos_out;
-      DC_RETURN_NOT_OK(delta_groups_[0].index.Probe(
-          gr.key(0), 0, gr.num_groups(), &probe_out, &pos_out));
-      const exec::DeltaGroupTrack& t = delta_groups_[0];
-      for (size_t k = 0; k < probe_out.size(); ++k) {
-        const uint64_t g = probe_out[k], p = pos_out[k];
-        DC_RETURN_NOT_OK(pair_up(t.bw_of[p], j, p, g, t.counts[p],
-                                 gr.counts()[g]));
-      }
-      fold_pairs(t.states, gr.states());
-      return Status::OK();
-    };
-    auto append_left = [&]() -> Status {
-      if (!has_l || nl == 1) return Status::OK();
-      return delta_groups_[0].AppendGroups(j, gl);
-    };
-    auto append_right = [&]() -> Status {
-      if (!has_r || nr == 1) return Status::OK();
-      return delta_groups_[1].AppendGroups(j, gr);
-    };
-    if (nl == 1 && nr == 1) {
-      if (has_l && has_r && gl.num_groups() > 0 && gr.num_groups() > 0) {
-        DC_ASSIGN_OR_RETURN(ops::JoinResult nn,
-                            ops::HashJoin(gl.key(0), gr.key(0)));
-        for (size_t k = 0; k < nn.left.size(); ++k) {
-          const uint64_t a = nn.left[k], b = nn.right[k];
-          DC_RETURN_NOT_OK(pair_up(j, j, a, b, gl.counts()[a],
-                                   gr.counts()[b]));
-        }
-        fold_pairs(gl.states(), gr.states());
-      }
-    } else if (nl == 1) {
-      DC_RETURN_NOT_OK(append_right());
-      DC_RETURN_NOT_OK(probe_left_new());
-    } else if (nr == 1) {
-      DC_RETURN_NOT_OK(append_left());
-      DC_RETURN_NOT_OK(probe_right_new());
-    } else {
-      DC_RETURN_NOT_OK(probe_left_new());
-      DC_RETURN_NOT_OK(append_left());
-      DC_RETURN_NOT_OK(probe_right_new());
-      DC_RETURN_NOT_OK(append_right());
+      DC_RETURN_NOT_OK(probe_new(s, j, g));
+      DC_RETURN_NOT_OK(delta_groups_[s].AppendGroups(j, g));
     }
   }
   stats_.delta_pairs += pairs;

@@ -64,7 +64,6 @@ struct FactoryStats {
   uint64_t tuples_in = 0;
   uint64_t tuples_out = 0;
   Micros total_exec_micros = 0;
-  Micros last_exec_micros = 0;
   /// The factory's own incremental state: delta-join partials and
   /// retained sides. A node tail caches nothing itself; its partials are
   /// counted on its node (SharedNodeStats).
@@ -79,8 +78,6 @@ struct FactoryStats {
   /// Live rows (raw delta path) or groups (pre-aggregated path) in the
   /// rolling retained-side state across both join sides.
   uint64_t retained_rows = 0;
-  /// Expired rows/groups still physically resident awaiting a trim.
-  uint64_t retained_dead_rows = 0;
   /// Live entries across both sides' rolling join-key hash indexes.
   uint64_t index_entries = 0;
   /// Node tails (docs/SHARING.md): basic-window partials this query

@@ -44,18 +44,6 @@ Status DeltaSideState::AppendBasicWindow(int64_t bw,
   return Status::OK();
 }
 
-void DeltaSideState::AdoptSingleWindow(int64_t bw,
-                                       const StageOutput& compact) {
-  cols.assign(compact.cols.begin(), compact.cols.end());
-  BatPtr ord = Bat::MakeEmpty(TypeId::kI64);
-  ord->AppendRepeatedI64(bw, compact.rows);
-  cols.push_back(std::move(ord));
-  rows = compact.rows;
-  dead = 0;
-  bws.clear();
-  bws.emplace_back(bw, compact.rows);
-}
-
 Status DeltaSideState::IndexNewRows(uint64_t from) {
   if (key_slot < 0 || static_cast<size_t>(key_slot) >= cols.size()) {
     return Status::Internal("delta side: bad key slot");

@@ -79,11 +79,6 @@ struct DeltaSideState {
   /// Appends one basic window's compact columns (prejoin output) plus the
   /// repeated ordinal `bw`. Allocates the columns on first use.
   Status AppendBasicWindow(int64_t bw, const StageOutput& compact);
-  /// Single-basic-window fast path (window == slide on this side): the
-  /// whole window is the new basic window, so the concatenation aliases
-  /// the prejoin output directly — no copy, no retained prefix, and the
-  /// (never probed) index stays empty.
-  void AdoptSingleWindow(int64_t bw, const StageOutput& compact);
   /// Indexes rows [from, rows). Call after the delta probe so the index
   /// never covers the probing emission's new rows.
   Status IndexNewRows(uint64_t from);
@@ -136,10 +131,6 @@ class QueryExecutor {
   /// Postjoin stage over the compact relations (prejoin outputs).
   Result<StageOutput> RunPostjoin(
       const std::vector<StageInput>& compact) const;
-
-  /// True when the query compiled a delta-postjoin stage (stream-stream
-  /// equi-join).
-  bool HasDeltaPostjoin() const { return cq_.has_delta_postjoin; }
 
   /// Delta-postjoin stage: `compact` holds, per side, the concatenated
   /// [retained ; new] compact columns with StageInput::delta_old_rows set

@@ -250,21 +250,6 @@ TEST(BasketTest, BlockedAppendWakesWhenReaderFreesSpace) {
   EXPECT_EQ(b.Stats().append_timeouts, 0u);
 }
 
-TEST(BasketTest, SetLimitsWakesBlockedProducer) {
-  BasketLimits limits;
-  limits.max_rows = 1;
-  Basket b("s", TsI64Schema(), 0, limits);
-  b.RegisterReader(true);
-  ASSERT_TRUE(b.Append({Bat::MakeTs({1}), Bat::MakeI64({1})}).ok());
-  std::thread lifter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    b.SetLimits(BasketLimits{});  // unbounded
-  });
-  ASSERT_TRUE(b.Append({Bat::MakeTs({2}), Bat::MakeI64({2})}).ok());
-  lifter.join();
-  EXPECT_EQ(b.HighSeq(), 2u);
-}
-
 TEST(BasketTest, HeartbeatAndSeal) {
   Basket b("s", TsI64Schema(), 0);
   b.Heartbeat(500);
@@ -338,7 +323,7 @@ TEST(BasketTest, SlidingTrimKeepsReadsAndFootprint) {
 
     // A compact copy of the live rows bounds the footprint from below; the
     // dead prefix (at most the live rows) and vector growth stay within a
-    // constant factor of it, so the byte bound still bounds memory.
+    // constant factor of it, so the row bound still bounds memory.
     if (advance % 6 == 0) {
       const BasketView all = b.Read(0);
       ASSERT_EQ(all.first_seq, lo);

@@ -580,6 +580,74 @@ TEST_F(NullGroupKeyTest, StreamTableIncrementalMatchesFull) {
   }
 }
 
+// A comparison with NULL is never true: the NULL rows' payload is 0, and
+// neither a WHERE on the column nor an equi-join may take it for a 0.
+TEST_F(NullGroupKeyTest, WhereNeverSelectsNull) {
+  LoadTable();
+  EXPECT_EQ(SortedRows({MustQuery("SELECT id FROM g WHERE k = 0")}),
+            (std::vector<std::string>{"3|"}));
+  EXPECT_EQ(SortedRows({MustQuery("SELECT id FROM g WHERE k < 5")}),
+            (std::vector<std::string>{"3|"}));
+  EXPECT_EQ(SortedRows({MustQuery("SELECT id FROM g WHERE k <> 7")}),
+            (std::vector<std::string>{"3|"}));
+  EXPECT_EQ(SortedRows({MustQuery("SELECT id FROM g WHERE name = ''")}),
+            (std::vector<std::string>{"3|"}));
+}
+
+TEST_F(NullGroupKeyTest, EquiJoinNeverPairsNull) {
+  LoadTable();
+  EXPECT_EQ(SortedRows({MustQuery("SELECT a.id, b.id FROM g a JOIN g b "
+                                  "ON a.k = b.k")}),
+            (std::vector<std::string>{"1|1|", "3|3|"}));
+  EXPECT_EQ(SortedRows({MustQuery("SELECT a.id, b.id FROM g a JOIN g b "
+                                  "ON a.name = b.name")}),
+            (std::vector<std::string>{"1|1|", "1|4|", "3|3|", "4|1|",
+                                      "4|4|"}));
+}
+
+// NULL sorts as the smallest value (MonetDB's nil order): first under
+// ASC, last under DESC, and the NULL rows stay together.
+TEST_F(NullGroupKeyTest, OrderByPlacesNullsTogether) {
+  LoadTable();
+  EXPECT_EQ(testutil::RowStrings({MustQuery("SELECT id, k FROM g ORDER BY "
+                                            "k DESC")}),
+            (std::vector<std::string>{"1|7|", "3|0|", "2|NULL|",
+                                      "4|NULL|"}));
+  EXPECT_EQ(testutil::RowStrings({MustQuery("SELECT id, k FROM g ORDER BY "
+                                            "k, id")}),
+            (std::vector<std::string>{"2|NULL|", "4|NULL|", "3|0|",
+                                      "1|7|"}));
+}
+
+// The same order on the incremental path, whose sorted per-basic-window
+// partials are merged run by run: INCREMENTAL equals FULL.
+TEST_F(NullGroupKeyTest, OrderByNullsIncrementalMatchesFull) {
+  LoadTable();
+  Exec("CREATE STREAM s (ts timestamp, sk int)");
+  const std::string sql =
+      "SELECT sk, k FROM s [ROWS 4 SLIDE 1] JOIN g ON s.sk = g.id "
+      "ORDER BY k DESC";
+  const int inc = Submit(sql, ExecMode::kIncremental);
+  const int full = Submit(sql, ExecMode::kFullReeval);
+  for (int i = 0; i < 8; ++i) {
+    PushPump("s", {Value::Ts(i), Value::I64(1 + i % 4)});
+  }
+  // Every window holds sk 1..4 once: 1 -> 7, 2 and 4 -> NULL, 3 -> 0.
+  const auto inc_out = Take(inc);
+  const auto full_out = Take(full);
+  ASSERT_EQ(inc_out.size(), 5u);
+  ASSERT_EQ(full_out.size(), 5u);
+  for (size_t e = 0; e < inc_out.size(); ++e) {
+    const std::vector<std::string> rows = testutil::RowStrings({inc_out[e]});
+    ASSERT_EQ(rows.size(), 4u) << "emission " << e;
+    EXPECT_EQ(rows[0], "1|7|") << "emission " << e;
+    EXPECT_EQ(rows[1], "3|0|") << "emission " << e;
+    EXPECT_EQ(rows[2].substr(1), "|NULL|") << "emission " << e;
+    EXPECT_EQ(rows[3].substr(1), "|NULL|") << "emission " << e;
+    EXPECT_EQ(rows, testutil::RowStrings({full_out[e]})) << "emission " << e;
+  }
+}
+
 // f64 MIN/MAX order NaN above every number (PostgreSQL's rule) on every
 // path: one-time scalar and grouped queries over each row order of NaN,
 // 5, 3, and sliding windows over all those orders in a row, whose

@@ -439,10 +439,11 @@ constexpr const char* kJoinProjTail = "ORDER BY ats, ka, x, y";
 std::vector<JoinCase> JoinCases() {
   std::vector<JoinCase> cases;
   // (lsize, rsize, slide) seconds: tumbling, divisible sliding with equal
-  // and unequal sizes (true delta-join path), and a non-divisible pair
-  // (full re-evaluation fallback).
+  // and unequal sizes (true delta-join path), one tumbling side beside a
+  // sliding one (either way round), and a non-divisible pair (full
+  // re-evaluation fallback).
   const std::tuple<int64_t, int64_t, int64_t> windows[] = {
-      {4, 4, 4}, {8, 8, 2}, {8, 4, 2}, {6, 4, 4}};
+      {4, 4, 4}, {8, 8, 2}, {8, 4, 2}, {8, 4, 4}, {4, 8, 4}, {6, 4, 4}};
   const JoinCase shapes[] = {
       {"scalar", kJoinScalar, "", 0, 0, 0, ExecMode::kIncremental},
       {"grouped", kJoinGrouped, kJoinGroupTail, 0, 0, 0,

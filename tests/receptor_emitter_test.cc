@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 
 #include "core/emitter.h"
+#include "core/engine.h"
 #include "core/receptor.h"
 #include "tests/test_util.h"
 
@@ -207,6 +209,38 @@ TEST(EmitterTest, DeliversZeroRowEmissions) {
   EXPECT_EQ(emitter.Stats().rows, 2u);
   // Draining again delivers nothing: the empty boundary is not replayed.
   EXPECT_EQ(emitter.Drain(), 0);
+}
+
+// Lost-wakeup hunt. An emitter thread sleeps on its wake condvar with no
+// fallback tick, so a wakeup lost between its "nothing to do" check and
+// its wait strands the emission: each pushed batch must reach the sink
+// within 2 s. Every batch is one per-batch emission; the next push goes
+// out as soon as the previous one arrived (often while the emitter is
+// still finishing its drain), after a yield, or after a short sleep.
+TEST(EmitterTest, EveryEmissionIsDeliveredWithoutFallbackTick) {
+  Engine engine(testutil::Threaded(1));
+  ASSERT_TRUE(engine.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+  std::atomic<uint64_t> delivered{0};
+  Engine::ContinuousOptions opts;
+  opts.sink = [&](const ColumnSet& emission) {
+    delivered.fetch_add(emission.NumRows());
+  };
+  ASSERT_TRUE(engine.SubmitContinuous("SELECT v FROM s", opts).ok());
+  constexpr uint64_t kBatches = 2000;
+  for (uint64_t i = 0; i < kBatches; ++i) {
+    if (i % 3 == 1) {
+      std::this_thread::yield();
+    } else if (i % 3 == 2) {
+      std::this_thread::sleep_for(std::chrono::microseconds(i % 50));
+    }
+    const auto v = static_cast<int64_t>(i);
+    ASSERT_TRUE(engine.PushRow("s", {Value::Ts(v), Value::I64(v)}).ok());
+    const Micros deadline = SteadyMicros() + 2 * kMicrosPerSecond;
+    while (delivered.load() < i + 1 && SteadyMicros() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(delivered.load(), i + 1) << "batch " << i << " never arrived";
+  }
 }
 
 TEST(EmitterTest, DrainOnEmptyBasketIsNoop) {
